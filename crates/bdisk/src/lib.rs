@@ -15,8 +15,6 @@
 //!   programs derived from pinwheel schedules (Sections 3–4);
 //! * [`BroadcastServer`] — turns a program plus dispersed file contents into
 //!   a stream of block transmissions;
-//! * [`MultiChannelServer`] — a bank of slot-synchronized broadcast channels
-//!   with a file → channel routing table (the serving side of sharding);
 //! * [`EpochBank`] — the mode-transition primitive: per-channel *segment
 //!   timelines* under epoch numbers, so broadcast programs hot-swap
 //!   atomically at a slot boundary while unchanged channels stay
@@ -46,7 +44,6 @@
 mod client;
 mod epoch;
 mod file;
-mod multi;
 mod program;
 mod server;
 
@@ -54,6 +51,5 @@ pub use client::{ClientSession, Ingest, Observation, RetrievalOutcome};
 pub use epoch::{EpochBank, SwapApplied};
 pub use file::{BroadcastFile, FileSet, LatencyVector};
 pub use ida::FileId;
-pub use multi::MultiChannelServer;
 pub use program::{BroadcastProgram, FlatOrder, ProgramEntry, ProgramError};
 pub use server::{BroadcastServer, ServerError, Transmission, TransmissionRef};

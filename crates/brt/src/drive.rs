@@ -3,8 +3,8 @@
 //! `run_until_slot` are thin adapters over.
 //!
 //! The threaded [`crate::Runtime`] and this driver share the same
-//! [`Engine`] seam and the same epoch-resolution rules ([`SwapNote`]
-//! application), so the two paths stay behaviourally aligned by
+//! [`Engine`] seam, the same [`Subscriber`] and the same epoch-resolution
+//! step ([`resolve_epoch`]), so the two paths stay behaviourally aligned by
 //! construction; `tests/runtime_properties.rs` pins them byte-identical.
 //!
 //! ## Error-sampling order (locked in)
@@ -20,7 +20,7 @@
 //! runtime, where each subscriber samples its own model per delivered slot
 //! of its channel, also in slot order.
 
-use crate::engine::{Engine, Subscriber};
+use crate::engine::{resolve_epoch, Engine, Subscriber, Tuning};
 use bdisk::TransmissionRef;
 use bsim::ChannelErrorModel;
 use ida::FileId;
@@ -86,22 +86,18 @@ pub fn drive<E: Engine, S: Subscriber>(
         .min()
         .expect("remaining > 0 guarantees an unresolved subscriber");
     let lanes = engine.lane_count();
-    // Per-slot, per-channel reception outcome, sampled lazily on the first
-    // listening subscriber of that channel so gap slots (and channels nobody
-    // hears) never consume an error-model sample.
-    let mut channel_ok: Vec<Option<bool>> = vec![None; lanes];
-    // The slot's transmissions, fetched once per slot into a reused buffer
-    // (no per-slot allocation, no per-subscriber re-fetch when several
-    // subscribers share a channel).
-    let mut transmissions: Vec<Option<TransmissionRef<'_>>> = Vec::with_capacity(lanes);
+    // Per-slot, per-channel transmission and reception outcome, fetched and
+    // sampled lazily on the first listening subscriber of that channel, so
+    // gap slots (and channels nobody hears) never consume an error-model
+    // sample and subscribers sharing a channel share one fetch.
+    let mut heard: Vec<Option<(Option<TransmissionRef<'_>>, bool)>> = vec![None; lanes];
     while remaining > 0 {
         if let Some(stop) = stop_before {
             if slot >= stop {
                 break;
             }
         }
-        channel_ok.fill(None);
-        engine.transmit_all_into(slot, &mut transmissions);
+        heard.fill(None);
         let mut any_listening = false;
         let mut next_active = usize::MAX;
         for r in subscribers.iter_mut() {
@@ -122,42 +118,32 @@ pub fn drive<E: Engine, S: Subscriber>(
             // have flipped past the subscriber's epoch (re-subscribe or
             // cancel), or the subscriber may be tuned to a mode that has
             // not flipped in yet (wait).
-            let observe_on = loop {
-                let channel = r.channel();
-                if channel >= lanes {
-                    return Err(DriveError::UnknownChannel(r.file()));
+            let tuning = resolve_epoch(
+                r,
+                lanes,
+                |channel| engine.epoch_at(channel, slot),
+                |file, channel, epoch| Some(engine.note_for(file, channel, epoch)),
+            );
+            let channel = match tuning {
+                Tuning::Listen(channel) => channel,
+                Tuning::Wait | Tuning::NoNote => {
+                    any_listening = true; // waiting for a flip: hears nothing
+                    continue;
                 }
-                match engine.epoch_at(channel, slot) {
-                    // Lane not lit yet, or still serving an older mode: the
-                    // subscriber waits for its epoch's flip slot.
-                    None => break None,
-                    Some(e) if e < r.epoch() => break None,
-                    Some(e) if e == r.epoch() => break Some(channel),
-                    Some(_) => {
-                        // The channel flipped past this subscriber's epoch:
-                        // apply the first swap it has not seen.
-                        let note = engine.note_for(r.file(), channel, r.epoch());
-                        let cancelled = note.is_cancel();
-                        r.apply(&note);
-                        if cancelled {
-                            remaining -= 1;
-                            break None;
-                        }
-                        continue;
-                    }
+                Tuning::Resolved => {
+                    remaining -= 1;
+                    continue;
                 }
+                Tuning::UnknownChannel => return Err(DriveError::UnknownChannel(r.file())),
             };
-            if r.is_resolved() {
-                continue;
-            }
             any_listening = true;
-            let Some(channel) = observe_on else {
-                continue; // waiting for a flip: listens, hears nothing
-            };
-            let tx = transmissions[channel];
-            let ok = *channel_ok[channel].get_or_insert_with(|| match tx {
-                Some(t) => !errors.is_lost_on(channel, t),
-                None => true,
+            let (tx, ok) = *heard[channel].get_or_insert_with(|| {
+                let tx = engine.transmit_on(channel, slot);
+                let ok = match tx {
+                    Some(t) => !errors.is_lost_on(channel, t),
+                    None => true,
+                };
+                (tx, ok)
             });
             if r.observe(tx, ok) {
                 remaining -= 1;

@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// dispersed representation, possibly a new channel) or cancels it.
 ///
 /// The payload is expressed entirely in `bdisk`/`ida` types so the note can
-/// cross the runtime's queues without referencing facade types.
+/// cross the runtime's reply channels without referencing facade types.
 #[derive(Debug, Clone)]
 pub enum SwapNote {
     /// Transparent re-subscription: retune to `channel` under `epoch`; the
@@ -41,13 +41,6 @@ pub enum SwapNote {
     },
 }
 
-impl SwapNote {
-    /// `true` for [`SwapNote::Cancel`].
-    pub fn is_cancel(&self) -> bool {
-        matches!(self, SwapNote::Cancel { .. })
-    }
-}
-
 /// A client-side retrieval handle as the slot drivers see it: tuning state,
 /// observation, and swap-note application.
 pub trait Subscriber {
@@ -66,12 +59,68 @@ pub trait Subscriber {
     fn observe(&mut self, transmission: Option<TransmissionRef<'_>>, received_ok: bool) -> bool;
     /// Applies a swap note (retune or cancel).
     fn apply(&mut self, note: &SwapNote);
+    /// Records `file_blocks` erasures a lagging reader booked out of band:
+    /// overwritten slots that carried blocks of the subscriber's file.
+    fn lag(&mut self, file_blocks: u64);
+}
+
+/// Where a subscriber stands against its channel in one slot, after
+/// [`resolve_epoch`] applied every swap note the slot's lane epoch calls for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tuning {
+    /// Tuned: observe this channel's transmission this slot.
+    Listen(usize),
+    /// The lane is dark or still serves an older epoch: the subscriber
+    /// listens but hears nothing until its epoch flips in.
+    Wait,
+    /// A swap note resolved the subscriber (it was cancelled).
+    Resolved,
+    /// The subscriber is tuned to a channel this engine never had.
+    UnknownChannel,
+    /// The note source had no note to give (the runtime shut down or the
+    /// subscriber was retired).
+    NoNote,
+}
+
+/// The epoch-resolution step both slot drivers share.  Given the slot's
+/// `lanes` count and per-channel lane epochs (`lane_epoch`, `None` while
+/// dark), the subscriber waits while its lane is dark or behind, listens at
+/// an equal epoch, and applies swap notes — fetched through
+/// `note_for(file, channel, epoch)` — while the lane runs ahead, until it is
+/// tuned, resolved, or tuned to an unknown channel.  A subscriber several
+/// epochs behind applies one note per epoch it missed, in order.
+pub fn resolve_epoch<S: Subscriber>(
+    subscriber: &mut S,
+    lanes: usize,
+    lane_epoch: impl Fn(usize) -> Option<u64>,
+    mut note_for: impl FnMut(FileId, usize, u64) -> Option<SwapNote>,
+) -> Tuning {
+    loop {
+        let channel = subscriber.channel();
+        if channel >= lanes {
+            return Tuning::UnknownChannel;
+        }
+        match lane_epoch(channel) {
+            None => return Tuning::Wait,
+            Some(e) if e < subscriber.epoch() => return Tuning::Wait,
+            Some(e) if e == subscriber.epoch() => return Tuning::Listen(channel),
+            Some(_) => {
+                let Some(note) = note_for(subscriber.file(), channel, subscriber.epoch()) else {
+                    return Tuning::NoNote;
+                };
+                subscriber.apply(&note);
+                if subscriber.is_resolved() {
+                    return Tuning::Resolved;
+                }
+            }
+        }
+    }
 }
 
 /// The serving side: per-slot transmissions, the epoch timeline, and the
 /// mode-transition surface the runtime drives.
 ///
-/// `lane_count` / `transmit_all_into` / `epoch_at` mirror the
+/// `lane_count` / `transmit_on` / `epoch_at` mirror the
 /// `bdisk::EpochBank` read API; `subscribe` / `note_for` / `prepare` /
 /// `swap` are the station-level operations the facade provides.
 pub trait Engine: Send + 'static {
@@ -89,14 +138,8 @@ pub trait Engine: Send + 'static {
     /// channel count are dark).
     fn lane_count(&self) -> usize;
 
-    /// What every lane transmits in `slot`, in channel order, into a
-    /// caller-owned buffer (cleared and refilled).
-    fn transmit_all_into<'a>(&'a self, slot: usize, out: &mut Vec<Option<TransmissionRef<'a>>>);
-
     /// What one channel transmits in `slot` (`None` for idle slots and dark
-    /// or unknown channels) — the threaded serving loop's per-subscriber
-    /// fetch, which keeps that loop allocation-free even though the engine
-    /// is mutated (swapped) between slots.
+    /// or unknown channels).
     fn transmit_on(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>>;
 
     /// The epoch under which `channel` serves `slot` (`None` while dark).
@@ -145,4 +188,150 @@ pub trait Engine: Send + 'static {
         at_slot: usize,
         policy: SwapPolicy,
     ) -> Result<Self::Report, Self::Error>;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A subscriber stripped to its tuning state.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tuned {
+        channel: usize,
+        epoch: u64,
+        cancelled: bool,
+    }
+
+    impl Subscriber for Tuned {
+        fn file(&self) -> FileId {
+            FileId(1)
+        }
+        fn channel(&self) -> usize {
+            self.channel
+        }
+        fn epoch(&self) -> u64 {
+            self.epoch
+        }
+        fn request_slot(&self) -> usize {
+            0
+        }
+        fn is_resolved(&self) -> bool {
+            self.cancelled
+        }
+        fn observe(&mut self, _: Option<TransmissionRef<'_>>, _: bool) -> bool {
+            false
+        }
+        fn apply(&mut self, note: &SwapNote) {
+            match note {
+                SwapNote::Retune { channel, epoch, .. } => {
+                    self.channel = *channel;
+                    self.epoch = *epoch;
+                }
+                SwapNote::Cancel { .. } => self.cancelled = true,
+            }
+        }
+        fn lag(&mut self, _: u64) {}
+    }
+
+    fn retune(channel: usize, epoch: u64) -> SwapNote {
+        SwapNote::Retune {
+            channel,
+            epoch,
+            dispersal: Arc::new(Dispersal::new(2, 4).unwrap()),
+            latencies: LatencyVector::new(vec![8]).unwrap(),
+        }
+    }
+
+    fn cancel() -> SwapNote {
+        SwapNote::Cancel {
+            mode: "next".to_string(),
+        }
+    }
+
+    fn on(channel: usize, epoch: u64) -> Tuned {
+        Tuned {
+            channel,
+            epoch,
+            cancelled: false,
+        }
+    }
+
+    /// One resolution step: the subscriber starts at `start` against
+    /// `lanes` while the engine hands out `notes` in order.  Returns the
+    /// outcome, the final tuning and the `(channel, epoch)` each note was
+    /// asked for.
+    fn step(
+        start: Tuned,
+        lanes: &[Option<u64>],
+        notes: Vec<SwapNote>,
+    ) -> (Tuning, Tuned, Vec<(usize, u64)>) {
+        let mut subscriber = start;
+        let mut asked = Vec::new();
+        let mut notes = notes.into_iter();
+        let outcome = resolve_epoch(
+            &mut subscriber,
+            lanes.len(),
+            |channel| lanes[channel],
+            |_, channel, epoch| {
+                asked.push((channel, epoch));
+                notes.next()
+            },
+        );
+        (outcome, subscriber, asked)
+    }
+
+    #[test]
+    fn epoch_resolution_waits_listens_and_applies_notes_in_order() {
+        let cancelled = Tuned {
+            cancelled: true,
+            ..on(0, 0)
+        };
+        let table = [
+            (
+                "dark lane",
+                step(on(0, 0), &[None], vec![]),
+                (Tuning::Wait, on(0, 0), vec![]),
+            ),
+            (
+                "older epoch",
+                step(on(0, 2), &[Some(1)], vec![]),
+                (Tuning::Wait, on(0, 2), vec![]),
+            ),
+            (
+                "equal epoch",
+                step(on(1, 3), &[Some(0), Some(3)], vec![]),
+                (Tuning::Listen(1), on(1, 3), vec![]),
+            ),
+            (
+                "retune",
+                step(on(0, 0), &[Some(1), Some(1)], vec![retune(1, 1)]),
+                (Tuning::Listen(1), on(1, 1), vec![(0, 0)]),
+            ),
+            (
+                "cancel",
+                step(on(0, 0), &[Some(1)], vec![cancel()]),
+                (Tuning::Resolved, cancelled, vec![(0, 0)]),
+            ),
+            (
+                "unknown channel",
+                step(on(5, 0), &[Some(0)], vec![]),
+                (Tuning::UnknownChannel, on(5, 0), vec![]),
+            ),
+            (
+                // Two notes applied in one step, each asked for at the
+                // tuning the subscriber held when it saw the lane ahead.
+                "two epochs behind",
+                step(on(0, 0), &[Some(2)], vec![retune(0, 1), retune(0, 2)]),
+                (Tuning::Listen(0), on(0, 2), vec![(0, 0), (0, 1)]),
+            ),
+            (
+                "no note to give",
+                step(on(0, 0), &[Some(1)], vec![]),
+                (Tuning::NoNote, on(0, 0), vec![(0, 0)]),
+            ),
+        ];
+        for (case, got, want) in table {
+            assert_eq!(got, want, "{case}");
+        }
+    }
 }

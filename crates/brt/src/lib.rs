@@ -11,16 +11,21 @@
 //!   [`ManualClock`] for deterministic tests and CI;
 //! * [`Engine`] — the seam to the thing being served (the `rtbdisk`
 //!   facade's `Station` implements it);
+//! * [`Subscriber`] — the one client-side retrieval handle (the facade's
+//!   `Retrieval`), and [`resolve_epoch`] — the one epoch-resolution step
+//!   (wait for a flip, listen, or apply swap notes) both drivers take;
 //! * [`drive`] — the synchronous slot driver (the facade's
 //!   `run_until_complete` family is a thin adapter over it);
 //! * [`Runtime`] — the threaded server loop: one serving thread publishes
 //!   each slot **once** onto a shared [`BroadcastRing`]; N concurrent
-//!   client tasks read it through private cursors without cloning payloads
-//!   (a true broadcast: server cost is independent of the fleet size).
-//!   Backpressure is by overwrite — a reader that falls more than the
-//!   ring's capacity behind self-accounts the lost span as lag/erasures;
-//!   the server never stalls on a slow client.  Swap notes ride small
-//!   per-subscriber control [`SlotQueue`]s so epochs never desync, and
+//!   client tasks, each driving one [`Subscriber`] under its own
+//!   reception-error model, read it through private cursors without
+//!   cloning payloads (a true broadcast: server cost is independent of the
+//!   fleet size).  Backpressure is by overwrite — a reader that falls more
+//!   than the ring's capacity behind self-accounts the lost span as
+//!   lag/erasures; the server never stalls on a slow client.  A reader that
+//!   sees its channel's epoch move asks the server for the swap note and
+//!   gets it on a reply channel, so epochs never desync, and
 //!   [`Engine::admit`] gates subscriptions against per-channel fleet
 //!   budgets;
 //! * [`SwapScheduler`] — plays a [`bsim::ModeSchedule`] against a running
@@ -40,7 +45,6 @@
 mod clock;
 mod drive;
 mod engine;
-mod queue;
 mod ring;
 mod runtime;
 mod scheduler;
@@ -49,11 +53,10 @@ mod sink;
 pub use bobs::{Event, Telemetry};
 pub use clock::{ClockPoll, ManualClock, SlotClock, WakeSignal, WallClock};
 pub use drive::{drive, DriveError};
-pub use engine::{Engine, Subscriber, SwapNote};
-pub use queue::{Delivery, Popped, Push, SlotQueue};
-pub use ring::{BatchRead, BroadcastRing, LaneCell, RingRead, SlotCell, WakeSet};
+pub use engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
+pub use ring::{BatchRead, BroadcastRing, LaneCell, SlotCell, WakeSet};
 pub use runtime::{
-    Consumer, Runtime, RuntimeConfig, RuntimeController, RuntimeError, RuntimeStats, Subscription,
+    Runtime, RuntimeConfig, RuntimeController, RuntimeError, RuntimeStats, Subscription,
     SubscriptionStats,
 };
 pub use scheduler::{run_schedule, ScheduleOutcome, SwapScheduler};
@@ -67,8 +70,8 @@ mod tests {
         TransmissionRef,
     };
     use bmode::{ModeSpec, SwapPolicy};
-    use bsim::ModeSchedule;
-    use ida::{DispersedBlock, FileId};
+    use bsim::{ChannelErrorModel, ModeSchedule, NoErrors};
+    use ida::FileId;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -83,8 +86,12 @@ mod tests {
         mode: String,
         /// Per-channel fleet budget for `admit` (`None` admits everything).
         budget: Option<usize>,
+        /// Blocks of its file a ticket needs to complete.
+        threshold: usize,
     }
 
+    /// Counts received blocks of one file; completes at the threshold.
+    #[derive(Debug)]
     struct BankTicket {
         file: FileId,
         channel: usize,
@@ -92,7 +99,8 @@ mod tests {
         request_slot: usize,
         received: usize,
         threshold: usize,
-        cancelled: bool,
+        cancelled_by: Option<String>,
+        lag_erasures: u64,
     }
 
     impl Subscriber for BankTicket {
@@ -109,7 +117,7 @@ mod tests {
             self.request_slot
         }
         fn is_resolved(&self) -> bool {
-            self.cancelled || self.received >= self.threshold
+            self.cancelled_by.is_some() || self.received >= self.threshold
         }
         fn observe(&mut self, tx: Option<TransmissionRef<'_>>, ok: bool) -> bool {
             if let Some(tx) = tx {
@@ -121,9 +129,12 @@ mod tests {
             false
         }
         fn apply(&mut self, note: &SwapNote) {
-            if note.is_cancel() {
-                self.cancelled = true;
+            if let SwapNote::Cancel { mode } = note {
+                self.cancelled_by = Some(mode.clone());
             }
+        }
+        fn lag(&mut self, file_blocks: u64) {
+            self.lag_erasures += file_blocks;
         }
     }
 
@@ -135,13 +146,6 @@ mod tests {
 
         fn lane_count(&self) -> usize {
             self.bank.lane_count()
-        }
-        fn transmit_all_into<'a>(
-            &'a self,
-            slot: usize,
-            out: &mut Vec<Option<TransmissionRef<'a>>>,
-        ) {
-            self.bank.transmit_all_into(slot, out);
         }
         fn transmit_on(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>> {
             self.bank.transmit_ref(channel, slot)
@@ -160,8 +164,9 @@ mod tests {
                 epoch: self.bank.current_epoch_of(channel).unwrap_or(0),
                 request_slot: at_slot,
                 received: 0,
-                threshold: 2,
-                cancelled: false,
+                threshold: self.threshold,
+                cancelled_by: None,
+                lag_erasures: 0,
             })
         }
         fn note_for(&self, _file: FileId, _channel: usize, _epoch: u64) -> SwapNote {
@@ -219,64 +224,7 @@ mod tests {
             catalog,
             mode: "initial".to_string(),
             budget: None,
-        }
-    }
-
-    /// Counts received blocks of one file; completes at the threshold.
-    struct CountingConsumer {
-        file: FileId,
-        channel: usize,
-        epoch: u64,
-        received: usize,
-        threshold: usize,
-        cancelled_by: Option<String>,
-        lag_erasures: u64,
-    }
-
-    impl Consumer for CountingConsumer {
-        type Output = (usize, Option<String>, u64);
-        fn channel(&self) -> usize {
-            self.channel
-        }
-        fn epoch(&self) -> u64 {
-            self.epoch
-        }
-        fn deliver(&mut self, _slot: usize, block: &DispersedBlock) -> bool {
-            if block.file() == self.file {
-                self.received += 1;
-            }
-            self.received >= self.threshold
-        }
-        fn lag(&mut self, _slots: u64, file_blocks: u64) {
-            self.lag_erasures += file_blocks;
-        }
-        fn on_swap(&mut self, note: &SwapNote) -> bool {
-            match note {
-                SwapNote::Cancel { mode } => {
-                    self.cancelled_by = Some(mode.clone());
-                    true
-                }
-                SwapNote::Retune { channel, epoch, .. } => {
-                    self.channel = *channel;
-                    self.epoch = *epoch;
-                    false
-                }
-            }
-        }
-        fn finish(self) -> Self::Output {
-            (self.received, self.cancelled_by, self.lag_erasures)
-        }
-    }
-
-    fn counting(file: FileId, threshold: usize) -> impl FnOnce(BankTicket) -> CountingConsumer {
-        move |ticket| CountingConsumer {
-            file,
-            channel: ticket.channel,
-            epoch: ticket.epoch,
-            received: 0,
-            threshold,
-            cancelled_by: None,
-            lag_erasures: 0,
+            threshold: 2,
         }
     }
 
@@ -284,13 +232,11 @@ mod tests {
     fn manual_clock_runtime_delivers_and_completes() {
         let clock = ManualClock::new();
         let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());
-        let sub = runtime
-            .subscribe_with(FileId(1), 0, counting(FileId(1), 2))
-            .unwrap();
+        let sub = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         clock.advance(64);
-        let (received, cancelled, _) = sub.join();
-        assert_eq!(received, 2);
-        assert!(cancelled.is_none());
+        let ticket = sub.join();
+        assert_eq!(ticket.received, 2);
+        assert!(ticket.cancelled_by.is_none());
         let stats = runtime.stats().unwrap();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.active_subscribers, 0);
@@ -316,11 +262,12 @@ mod tests {
         }
         let record = Arc::new(Mutex::new(Vec::new()));
         let clock = ManualClock::new();
-        let runtime = Runtime::spawn_with_sinks(
+        let runtime = Runtime::spawn_with_telemetry(
             engine(),
             clock.clone(),
             RuntimeConfig::default(),
             vec![Box::new(Recorder(record.clone()))],
+            Telemetry::new(),
         );
         clock.advance(16);
         loop {
@@ -349,9 +296,7 @@ mod tests {
     fn unknown_files_are_rejected_at_subscribe() {
         let clock = ManualClock::new();
         let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());
-        let err = runtime
-            .subscribe_with(FileId(42), 0, counting(FileId(42), 1))
-            .unwrap_err();
+        let err = runtime.subscribe_with(FileId(42), 0, NoErrors).unwrap_err();
         assert!(matches!(err, RuntimeError::Engine(_)));
         runtime.shutdown().unwrap();
     }
@@ -359,12 +304,12 @@ mod tests {
     #[test]
     fn scheduled_swaps_apply_at_the_planned_slot_and_cancel_subscribers() {
         let clock = ManualClock::new();
-        let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig::default());
         // A subscriber that can never finish before the swap (huge
         // threshold) and is tuned to the channel the swap flips.
-        let doomed = runtime
-            .subscribe_with(FileId(1), 0, counting(FileId(1), usize::MAX))
-            .unwrap();
+        let mut engine = engine();
+        engine.threshold = usize::MAX;
+        let runtime = Runtime::spawn(engine, clock.clone(), RuntimeConfig::default());
+        let doomed = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         let schedule = ModeSchedule::new().at(
             10,
             ModeSpec::new("other")
@@ -385,8 +330,7 @@ mod tests {
         let outcomes = scheduler.join();
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].applied(), "swap failed: {:?}", outcomes[0]);
-        let (_, cancelled_by, _) = doomed.join();
-        assert_eq!(cancelled_by.as_deref(), Some("swapped"));
+        assert_eq!(doomed.join().cancelled_by.as_deref(), Some("swapped"));
         // The bank flipped exactly at the planned slot.
         let engine = runtime.shutdown().unwrap();
         assert_eq!(engine.bank.epoch_at(0, 9), Some(0));
@@ -426,46 +370,24 @@ mod tests {
         assert_eq!(engine.bank.epoch_at(0, 20), Some(1));
     }
 
-    #[test]
-    fn slow_consumers_lag_instead_of_stalling_the_server() {
-        let clock = ManualClock::new();
-        let runtime = Runtime::spawn(engine(), clock.clone(), RuntimeConfig { queue_capacity: 1 });
-        struct Slow(CountingConsumer);
-        impl Consumer for Slow {
-            type Output = (usize, Option<String>, u64);
-            fn channel(&self) -> usize {
-                self.0.channel()
-            }
-            fn epoch(&self) -> u64 {
-                self.0.epoch()
-            }
-            fn deliver(&mut self, slot: usize, block: &DispersedBlock) -> bool {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                self.0.deliver(slot, block)
-            }
-            fn lag(&mut self, slots: u64, file_blocks: u64) {
-                self.0.lag(slots, file_blocks);
-            }
-            fn on_swap(&mut self, note: &SwapNote) -> bool {
-                self.0.on_swap(note)
-            }
-            fn finish(self) -> Self::Output {
-                self.0.finish()
-            }
+    /// A lossless reception model that takes 2 ms per sample — a client
+    /// far slower than a free-running server.
+    struct SlowErrors;
+
+    impl ChannelErrorModel for SlowErrors {
+        fn is_lost_on(&mut self, _channel: usize, _tx: TransmissionRef<'_>) -> bool {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            false
         }
-        let sub = runtime
-            .subscribe_with(FileId(1), 0, |t| {
-                Slow(CountingConsumer {
-                    file: FileId(1),
-                    channel: t.channel,
-                    epoch: t.epoch,
-                    received: 0,
-                    threshold: usize::MAX,
-                    cancelled_by: None,
-                    lag_erasures: 0,
-                })
-            })
-            .unwrap();
+    }
+
+    #[test]
+    fn slow_subscribers_lag_instead_of_stalling_the_server() {
+        let clock = ManualClock::new();
+        let mut engine = engine();
+        engine.threshold = usize::MAX;
+        let runtime = Runtime::spawn(engine, clock.clone(), RuntimeConfig { queue_capacity: 1 });
+        let sub = runtime.subscribe_with(FileId(1), 0, SlowErrors).unwrap();
         clock.advance(512);
         // Wait until the server worked through the released slots.
         loop {
@@ -476,9 +398,9 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         runtime.unsubscribe(&sub);
-        let (_, _, lag_erasures) = sub.join();
+        let lag_erasures = sub.join().lag_erasures;
         // The reader has booked every overwritten span it observed before
-        // detaching; the fleet counters must agree with the consumer's view.
+        // detaching; the fleet counters must agree with the ticket's view.
         let stats = runtime.stats().unwrap();
         assert!(
             stats.lagged_slots > 0,
@@ -494,14 +416,10 @@ mod tests {
         let mut capped = engine();
         capped.budget = Some(1);
         let runtime = Runtime::spawn(capped, clock.clone(), RuntimeConfig::default());
-        let seated = runtime
-            .subscribe_with(FileId(1), 0, counting(FileId(1), 2))
-            .unwrap();
+        let seated = runtime.subscribe_with(FileId(1), 0, NoErrors).unwrap();
         // Same channel (the bank has one), budget 1: the second seat is
         // refused by the engine's admission hook, not by subscribe itself.
-        let refused = runtime
-            .subscribe_with(FileId(2), 0, counting(FileId(2), 2))
-            .unwrap_err();
+        let refused = runtime.subscribe_with(FileId(2), 0, NoErrors).unwrap_err();
         assert!(matches!(refused, RuntimeError::Engine(_)));
         let stats = runtime.stats().unwrap();
         assert_eq!(stats.admission_denied, 1);
@@ -509,9 +427,8 @@ mod tests {
         // The refused seat freed nothing; the seated one completes and its
         // departure reopens the channel for a new subscriber.
         clock.advance(64);
-        let (received, _, _) = seated.join();
-        assert_eq!(received, 2);
-        let reseated = runtime.subscribe_with(FileId(2), 64, counting(FileId(2), 2));
+        assert_eq!(seated.join().received, 2);
+        let reseated = runtime.subscribe_with(FileId(2), 64, NoErrors);
         assert!(reseated.is_ok());
         runtime.shutdown().unwrap();
     }

@@ -72,26 +72,6 @@ pub enum BatchRead {
     Detached,
 }
 
-/// What [`BroadcastRing::read`] found at a reader's cursor.
-#[derive(Debug)]
-pub enum RingRead {
-    /// The cell at the cursor (advance the cursor by one after processing).
-    Cell(Arc<SlotCell>),
-    /// The cursor fell behind the ring's base: slots `[cursor, resume)` were
-    /// overwritten.  The reader self-accounts them as lag and resumes at
-    /// `resume` (the oldest retained cell).
-    Overwritten {
-        /// The oldest slot still on the ring — where reading can resume.
-        resume: usize,
-    },
-    /// The ring is closed and no cell at or past the cursor will ever be
-    /// published (runtime shutdown).
-    Closed,
-    /// The reader's detach flag was raised (unsubscribe or cancellation);
-    /// no further cells are wanted.
-    Detached,
-}
-
 #[derive(Debug, Default)]
 struct RingState {
     /// The slot of `cells[0]` (== number of cells ever evicted).
@@ -219,14 +199,8 @@ impl BroadcastRing {
 
     /// Publishes a run of consecutive cells (continuing the ring's tail
     /// order) under one lock acquisition, draining `cells` — the batched
-    /// equivalent of calling [`BroadcastRing::publish`] per cell, with one
-    /// wake sweep for the whole run.
-    pub fn publish_run(&self, cells: &mut Vec<SlotCell>) {
-        self.publish_run_prepared(cells).wake();
-    }
-
-    /// Like [`BroadcastRing::publish_run`], but returns the satisfied
-    /// reader cohort as a [`WakeSet`] instead of notifying it.
+    /// equivalent of [`BroadcastRing::publish_prepared`] per cell, with one
+    /// wake sweep for the whole run, returned as a [`WakeSet`].
     pub fn publish_run_prepared(&self, cells: &mut Vec<SlotCell>) -> WakeSet {
         let Some(last) = cells.last().map(|c| c.slot) else {
             return WakeSet::default();
@@ -279,25 +253,15 @@ impl BroadcastRing {
     }
 
     /// Blocks until the cell at `cursor` is available (or the cursor is
-    /// found overwritten, the ring closes, or `detached` is raised).
+    /// found overwritten, the ring closes, or `detached` is raised), then
+    /// drains every retained cell from `cursor` to the tail (up to `max`)
+    /// into `out` under a single lock acquisition — a reader catching up to
+    /// a free-running server pays one lock per batch instead of one per
+    /// slot.  `out` is cleared first.
     ///
     /// `detached` is the reader's private detach flag; raise it with
     /// [`BroadcastRing::kick`] from another thread to pull a blocked reader
     /// out of the wait.
-    pub fn read(&self, cursor: usize, detached: &AtomicBool) -> RingRead {
-        let mut out = Vec::with_capacity(1);
-        match self.read_many(cursor, 1, detached, &mut out) {
-            BatchRead::Cells => RingRead::Cell(out.pop().expect("one cell was batched")),
-            BatchRead::Overwritten { resume } => RingRead::Overwritten { resume },
-            BatchRead::Closed => RingRead::Closed,
-            BatchRead::Detached => RingRead::Detached,
-        }
-    }
-
-    /// Like [`BroadcastRing::read`], but drains every retained cell from
-    /// `cursor` to the tail (up to `max`) into `out` under a single lock
-    /// acquisition — a reader catching up to a free-running server pays one
-    /// lock per batch instead of one per slot.  `out` is cleared first.
     pub fn read_many(
         &self,
         cursor: usize,
@@ -335,7 +299,7 @@ impl BroadcastRing {
     }
 
     /// Wakes every waiting reader without publishing — pair with raising a
-    /// reader's detach flag so it observes [`RingRead::Detached`] promptly.
+    /// reader's detach flag so it observes [`BatchRead::Detached`] promptly.
     pub fn kick(&self) {
         let mut state = self.state.lock().expect("broadcast ring lock");
         let wake = state.all_groups();
@@ -346,7 +310,7 @@ impl BroadcastRing {
     }
 
     /// Closes the ring: readers drain the retained cells, then observe
-    /// [`RingRead::Closed`] instead of blocking.
+    /// [`BatchRead::Closed`] instead of blocking.
     pub fn close(&self) {
         let mut state = self.state.lock().expect("broadcast ring lock");
         state.closed = true;
@@ -384,6 +348,20 @@ mod tests {
         }
     }
 
+    /// The slot of the one cell read at `cursor`, or what the ring reported
+    /// instead.
+    fn read_one(
+        ring: &BroadcastRing,
+        cursor: usize,
+        detached: &AtomicBool,
+    ) -> Result<usize, BatchRead> {
+        let mut out = Vec::new();
+        match ring.read_many(cursor, 1, detached, &mut out) {
+            BatchRead::Cells => Ok(out[0].slot),
+            other => Err(other),
+        }
+    }
+
     #[test]
     fn cells_are_read_in_publish_order_without_copying() {
         let ring = BroadcastRing::new(8);
@@ -392,10 +370,7 @@ mod tests {
             ring.publish(cell(slot));
         }
         for slot in 0..4 {
-            match ring.read(slot, &live) {
-                RingRead::Cell(c) => assert_eq!(c.slot, slot),
-                other => panic!("expected a cell, got {other:?}"),
-            }
+            assert_eq!(read_one(&ring, slot, &live).unwrap(), slot);
         }
     }
 
@@ -408,14 +383,11 @@ mod tests {
         for slot in 0..5 {
             ring.publish(cell(slot));
         }
-        match ring.read(4, &live) {
-            RingRead::Cell(c) => assert_eq!(c.slot, 4),
-            other => panic!("expected the newest cell, got {other:?}"),
-        }
-        match ring.read(0, &live) {
-            RingRead::Overwritten { resume } => assert_eq!(resume, 4),
-            other => panic!("expected an overwrite, got {other:?}"),
-        }
+        assert_eq!(read_one(&ring, 4, &live).unwrap(), 4);
+        assert!(matches!(
+            read_one(&ring, 0, &live),
+            Err(BatchRead::Overwritten { resume: 4 })
+        ));
     }
 
     #[test]
@@ -426,15 +398,12 @@ mod tests {
             ring.publish(cell(slot));
         }
         // Slots [0, 7) were evicted; 7, 8, 9 are retained.
-        match ring.read(2, &live) {
-            RingRead::Overwritten { resume } => assert_eq!(resume, 7),
-            other => panic!("expected an overwrite, got {other:?}"),
-        }
+        assert!(matches!(
+            read_one(&ring, 2, &live),
+            Err(BatchRead::Overwritten { resume: 7 })
+        ));
         // Exactly at the boundary there is no overwrite.
-        match ring.read(7, &live) {
-            RingRead::Cell(c) => assert_eq!(c.slot, 7),
-            other => panic!("expected the boundary cell, got {other:?}"),
-        }
+        assert_eq!(read_one(&ring, 7, &live).unwrap(), 7);
     }
 
     #[test]
@@ -476,17 +445,14 @@ mod tests {
         ring.publish(cell(1));
         ring.skip_run(2, 3);
         // The skip drops unreachable history and moves the tail past it …
-        match ring.read(0, &live) {
-            RingRead::Overwritten { resume } => assert_eq!(resume, 5),
-            other => panic!("expected the skipped span to read overwritten, got {other:?}"),
-        }
+        assert!(matches!(
+            read_one(&ring, 0, &live),
+            Err(BatchRead::Overwritten { resume: 5 })
+        ));
         assert_eq!(ring.tail(), 5);
         // … and ordinary publishing picks up at the next slot.
         ring.publish(cell(5));
-        match ring.read(5, &live) {
-            RingRead::Cell(c) => assert_eq!(c.slot, 5),
-            other => panic!("expected the post-skip cell, got {other:?}"),
-        }
+        assert_eq!(read_one(&ring, 5, &live).unwrap(), 5);
     }
 
     #[test]
@@ -497,13 +463,7 @@ mod tests {
         let ring = Arc::new(BroadcastRing::new(8));
         let reader = std::thread::spawn({
             let ring = ring.clone();
-            move || {
-                let live = AtomicBool::new(false);
-                match ring.read(2, &live) {
-                    RingRead::Cell(c) => c.slot,
-                    other => panic!("expected the awaited cell, got {other:?}"),
-                }
-            }
+            move || read_one(&ring, 2, &AtomicBool::new(false)).unwrap()
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
         for slot in 0..3 {
@@ -518,8 +478,10 @@ mod tests {
         let reader = std::thread::spawn({
             let ring = ring.clone();
             move || {
-                let live = AtomicBool::new(false);
-                matches!(ring.read(0, &live), RingRead::Closed)
+                matches!(
+                    read_one(&ring, 0, &AtomicBool::new(false)),
+                    Err(BatchRead::Closed)
+                )
             }
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
@@ -534,7 +496,7 @@ mod tests {
         let reader = std::thread::spawn({
             let ring = ring.clone();
             let detached = detached.clone();
-            move || matches!(ring.read(0, &detached), RingRead::Detached)
+            move || matches!(read_one(&ring, 0, &detached), Err(BatchRead::Detached))
         });
         std::thread::sleep(std::time::Duration::from_millis(10));
         detached.store(true, Ordering::SeqCst);
@@ -548,7 +510,7 @@ mod tests {
         let live = AtomicBool::new(false);
         ring.publish(cell(0));
         ring.close();
-        assert!(matches!(ring.read(0, &live), RingRead::Cell(_)));
-        assert!(matches!(ring.read(1, &live), RingRead::Closed));
+        assert_eq!(read_one(&ring, 0, &live).unwrap(), 0);
+        assert!(matches!(read_one(&ring, 1, &live), Err(BatchRead::Closed)));
     }
 }

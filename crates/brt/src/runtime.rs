@@ -29,29 +29,27 @@
 //!   self-accounts the skipped span as lag/erasures (the server replays the
 //!   span's schedule off the data path to count exactly which dropped slots
 //!   carried the subscriber's file).
-//! * Swap notes ride a small per-subscriber control queue, requested by the
-//!   reader at the exact cell where it observes its channel's epoch move —
+//! * Swap notes come back on a per-request reply channel: the reader asks
+//!   for one at the exact cell where it observes its channel's epoch move,
 //!   so a subscriber applies a mode transition at precisely the right point
-//!   of its delivery stream and epochs never desync.
+//!   of its delivery stream and epochs never desync.  Epochs resolve
+//!   through [`resolve_epoch`], the same step the synchronous
+//!   [`crate::drive`] takes.
 
 use crate::clock::{ClockPoll, SlotClock, WakeSignal};
-use crate::engine::{Engine, Subscriber, SwapNote};
-use crate::queue::{Delivery, SlotQueue};
+use crate::engine::{resolve_epoch, Engine, Subscriber, SwapNote, Tuning};
 use crate::ring::{BatchRead, BroadcastRing, LaneCell, SlotCell};
 use crate::sink::{LaneView, SlotSink};
 use bdisk::TransmissionRef;
 use bmode::SwapPolicy;
 use bobs::{Counter, Event, Gauge, Histogram, Registry, Telemetry};
-use ida::{DispersedBlock, FileId};
+use bsim::ChannelErrorModel;
+use ida::FileId;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Control queues only carry swap notes (never data), and a subscriber can
-/// owe at most a handful before draining them; the bound is nominal.
-const CONTROL_QUEUE_CAPACITY: usize = 4;
 
 /// Cells a client task drains from the broadcast ring per lock acquisition:
 /// enough to amortise locking while it catches up to a free-running server,
@@ -80,43 +78,6 @@ impl Default for RuntimeConfig {
             queue_capacity: 1024,
         }
     }
-}
-
-/// The client side of a subscription: consumes deliveries, decides when the
-/// retrieval is resolved, and produces the final output.
-///
-/// The facade implements this for its `Retrieval` (wrapping a per-client
-/// reception-error model); `brt` itself only needs the shape.  The tuning
-/// accessors ([`Consumer::channel`] / [`Consumer::epoch`]) let the client
-/// task resolve epoch transitions against the broadcast ring's published
-/// lane epochs; they must reflect every note applied via
-/// [`Consumer::on_swap`].
-pub trait Consumer: Send + 'static {
-    /// What [`Subscription::join`] returns.
-    type Output: Send + 'static;
-
-    /// The channel the consumer is currently tuned to.
-    fn channel(&self) -> usize;
-
-    /// The program epoch the consumer is tuned to.
-    fn epoch(&self) -> u64;
-
-    /// One data slot of the subscriber's channel; returns `true` when the
-    /// retrieval resolved (no further deliveries wanted).
-    fn deliver(&mut self, slot: usize, block: &DispersedBlock) -> bool;
-
-    /// The subscriber fell behind: `lagged_slots` data slots were dropped,
-    /// `lagged_file_blocks` of which carried blocks of its file (record
-    /// them as erasures).
-    fn lag(&mut self, lagged_slots: u64, lagged_file_blocks: u64);
-
-    /// A swap note for this subscriber; returns `true` when the note
-    /// resolved the retrieval (cancellation).
-    fn on_swap(&mut self, note: &SwapNote) -> bool;
-
-    /// Produces the final output (called after resolution, unsubscription
-    /// or runtime shutdown — the retrieval may be incomplete).
-    fn finish(self) -> Self::Output;
 }
 
 /// Shared per-subscriber counters (written by the server loop and the
@@ -202,7 +163,6 @@ enum Command<E: Engine> {
     Subscribe {
         file: FileId,
         at_slot: usize,
-        control: Arc<SlotQueue>,
         counters: Arc<SubscriberCounters>,
         detached: Arc<AtomicBool>,
         reply: mpsc::Sender<Result<Seat<E>, E::Error>>,
@@ -210,9 +170,10 @@ enum Command<E: Engine> {
     Unsubscribe {
         id: u64,
     },
-    Resolved {
+    /// A reader completed its retrieval.  (Cancellations are booked when
+    /// the server answers the reader's `Note`.)
+    Completed {
         id: u64,
-        cancelled: bool,
     },
     /// A reader found its cursor overwritten: account slots `[from, to)` on
     /// its tuned `(channel, epoch)` as lag, off the data path.
@@ -224,12 +185,13 @@ enum Command<E: Engine> {
         to: usize,
         reply: mpsc::Sender<(u64, u64)>,
     },
-    /// A reader observed its channel's epoch move past `epoch`: push the
-    /// engine's disposition (retune or cancel) onto its control queue.
+    /// A reader observed its channel's epoch move past `epoch`: reply with
+    /// the engine's disposition (retune or cancel).
     Note {
         id: u64,
         channel: usize,
         epoch: u64,
+        reply: mpsc::Sender<SwapNote>,
     },
     Snapshot {
         reply: mpsc::Sender<E>,
@@ -309,16 +271,16 @@ impl<E: Engine> RuntimeController<E> {
 }
 
 /// One live subscription: a handle to the client task reading the broadcast
-/// ring.  [`Subscription::join`] returns the consumer's output once the
-/// retrieval resolves (or the runtime shuts down).
+/// ring.  [`Subscription::join`] returns the subscriber once its retrieval
+/// resolves (or the runtime shuts down, leaving it unresolved).
 #[derive(Debug)]
-pub struct Subscription<O> {
+pub struct Subscription<T> {
     id: u64,
     counters: Arc<SubscriberCounters>,
-    task: JoinHandle<O>,
+    task: JoinHandle<T>,
 }
 
-impl<O> Subscription<O> {
+impl<T> Subscription<T> {
     /// The runtime-assigned subscriber id.
     pub fn id(&self) -> u64 {
         self.id
@@ -333,14 +295,14 @@ impl<O> Subscription<O> {
         }
     }
 
-    /// `true` once the client task has produced its output ([`Subscription::join`]
+    /// `true` once the client task has finished ([`Subscription::join`]
     /// will not block).
     pub fn is_finished(&self) -> bool {
         self.task.is_finished()
     }
 
-    /// Waits for the client task and returns the consumer's output.
-    pub fn join(self) -> O {
+    /// Waits for the client task and returns the subscriber it drove.
+    pub fn join(self) -> T {
         self.task.join().expect("runtime client task panicked")
     }
 }
@@ -378,27 +340,18 @@ impl<E: Engine> core::fmt::Debug for Runtime<E> {
 impl<E: Engine> Runtime<E> {
     /// Spawns the serving thread over `engine`, paced by `clock`.
     pub fn spawn(engine: E, clock: impl SlotClock, config: RuntimeConfig) -> Self {
-        Self::spawn_with_sinks(engine, clock, config, Vec::new())
+        Self::spawn_with_telemetry(engine, clock, config, Vec::new(), Telemetry::new())
     }
 
-    /// [`Runtime::spawn`] with transport-facing fan-out sinks attached: each
-    /// served slot's live lanes are published once to every sink (on the
-    /// serving thread, from the same lane snapshot the broadcast ring cell
-    /// is built from) — the seam a network transport plugs into.
-    pub fn spawn_with_sinks(
-        engine: E,
-        clock: impl SlotClock,
-        config: RuntimeConfig,
-        sinks: Vec<Box<dyn SlotSink>>,
-    ) -> Self {
-        Self::spawn_with_telemetry(engine, clock, config, sinks, Telemetry::new())
-    }
-
-    /// [`Runtime::spawn_with_sinks`] recording into a caller-owned
-    /// [`Telemetry`] handle — the facade passes one shared handle so the
-    /// runtime, the network fan-out and the control plane all land in a
-    /// single scrapable registry.  Recording (histograms + event trace)
-    /// stays whatever the handle says; counters and gauges always count.
+    /// [`Runtime::spawn`] with transport-facing fan-out sinks attached,
+    /// recording into a caller-owned [`Telemetry`] handle.  Each served
+    /// slot's live lanes are published once to every sink (on the serving
+    /// thread, from the same lane snapshot the broadcast ring cell is built
+    /// from) — the seam a network transport plugs into.  The facade passes
+    /// one shared handle so the runtime, the network fan-out and the control
+    /// plane all land in a single scrapable registry.  Recording
+    /// (histograms + event trace) stays whatever the handle says; counters
+    /// and gauges always count.
     pub fn spawn_with_telemetry(
         engine: E,
         clock: impl SlotClock,
@@ -458,31 +411,27 @@ impl<E: Engine> Runtime<E> {
     }
 
     /// Subscribes to `file` from `at_slot` on and spawns a client task
-    /// driving the consumer built by `make` from the engine's ticket.
+    /// driving the engine's ticket off the broadcast ring.  The task samples
+    /// `errors` once per delivered data slot of the ticket's channel, in
+    /// slot order, and [`Subscription::join`] returns the ticket.
     ///
     /// Slots already served when the subscription registers are gone (a
     /// broadcast does not rewind); the client's cursor starts at the later
     /// of the request slot and the serving cursor.  The engine's admission
     /// control runs before the seat is granted: a subscription that would
     /// break its channel's fleet budget is refused with the engine's error.
-    pub fn subscribe_with<C, F>(
+    pub fn subscribe_with(
         &self,
         file: FileId,
         at_slot: usize,
-        make: F,
-    ) -> Result<Subscription<C::Output>, RuntimeError<E::Error>>
-    where
-        C: Consumer,
-        F: FnOnce(E::Ticket) -> C,
-    {
-        let control = Arc::new(SlotQueue::new(CONTROL_QUEUE_CAPACITY));
+        errors: impl ChannelErrorModel + Send + 'static,
+    ) -> Result<Subscription<E::Ticket>, RuntimeError<E::Error>> {
         let counters = Arc::new(SubscriberCounters::default());
         let detached = Arc::new(AtomicBool::new(false));
         let (reply_tx, reply_rx) = mpsc::channel();
         self.controller.send(Command::Subscribe {
             file,
             at_slot,
-            control: control.clone(),
             counters: counters.clone(),
             detached: detached.clone(),
             reply: reply_tx,
@@ -492,7 +441,6 @@ impl<E: Engine> Runtime<E> {
             .map_err(|_| RuntimeError::Closed)?
             .map_err(RuntimeError::Engine)?;
         let cursor = ticket.request_slot().max(start_slot);
-        let consumer = make(ticket);
         let controller = self.controller.clone();
         let ring = self.ring.clone();
         let task = {
@@ -502,7 +450,7 @@ impl<E: Engine> Runtime<E> {
                 .name(format!("brt-client-{id}"))
                 .spawn(move || {
                     client_loop(
-                        id, consumer, ring, control, counters, detached, cursor, controller,
+                        id, ticket, errors, ring, counters, detached, cursor, controller,
                     )
                 })
                 .expect("the client task spawns")
@@ -538,8 +486,8 @@ impl<E: Engine> Runtime<E> {
         self.controller.stats()
     }
 
-    /// Stops the serving loop (closing the ring and every subscriber's
-    /// control queue) and returns the engine, so serving can resume later —
+    /// Stops the serving loop (closing the ring and detaching every
+    /// subscriber) and returns the engine, so serving can resume later —
     /// synchronously or under a fresh runtime.
     pub fn shutdown(mut self) -> Result<E, RuntimeError<E::Error>> {
         let _ = self.controller.send(Command::Shutdown);
@@ -566,7 +514,6 @@ struct Entry {
     file: FileId,
     channel: usize,
     epoch: u64,
-    control: Arc<SlotQueue>,
     counters: Arc<SubscriberCounters>,
     detached: Arc<AtomicBool>,
 }
@@ -673,20 +620,18 @@ impl<E: Engine> ServerState<E> {
         }
     }
 
-    /// Removes a subscriber entry, closing it out so its reader stops.
-    /// Removes a subscriber.  `wake` kicks the ring so a *parked* reader
-    /// observes its raised detach flag — needed for externally-initiated
-    /// departures (unsubscribe, swap cancellation) but pure waste for a
-    /// reader that resolved its own retrieval: that reader is running, not
-    /// parked, and fleet-wide kicks per completion turn a large fleet's
-    /// drain-down into a quadratic wakeup storm.
+    /// Removes a subscriber, raising its detach flag.  `wake` kicks the
+    /// ring so a *parked* reader observes the flag — needed for an
+    /// externally-initiated departure (unsubscribe) but pure waste for a
+    /// reader that resolved its own retrieval or awaits its swap note: that
+    /// reader is running, not parked, and fleet-wide kicks per completion
+    /// turn a large fleet's drain-down into a quadratic wakeup storm.
     fn retire(&mut self, id: u64, wake: bool) -> Option<Entry> {
         let entry = self.subscribers.remove(&id)?;
         self.drop_active(entry.channel);
         self.fleet
             .active_subscribers
             .set(self.subscribers.len() as i64);
-        entry.control.close();
         entry.detached.store(true, Ordering::SeqCst);
         if wake {
             self.ring.kick();
@@ -798,7 +743,6 @@ fn server_loop<E: Engine>(
         }
     }
     for entry in state.subscribers.values() {
-        entry.control.close();
         entry.detached.store(true, Ordering::SeqCst);
     }
     ring.close();
@@ -840,7 +784,6 @@ fn handle_command<E: Engine>(
         Command::Subscribe {
             file,
             at_slot,
-            control,
             counters,
             detached,
             reply,
@@ -863,7 +806,6 @@ fn handle_command<E: Engine>(
                         file,
                         channel,
                         epoch: ticket.epoch(),
-                        control,
                         counters,
                         detached,
                     },
@@ -887,16 +829,13 @@ fn handle_command<E: Engine>(
         Command::Unsubscribe { id } => {
             state.retire(id, true);
         }
-        Command::Resolved { id, cancelled } => {
+        Command::Completed { id } => {
             if state.retire(id, false).is_some() {
-                if cancelled {
-                    state.fleet.cancelled.inc();
-                } else {
-                    state.fleet.completed.inc();
-                }
-                state
-                    .telemetry
-                    .record_event(|| Event::SubscriberResolved { id, cancelled });
+                state.fleet.completed.inc();
+                state.telemetry.record_event(|| Event::SubscriberResolved {
+                    id,
+                    cancelled: false,
+                });
             }
         }
         Command::Lag {
@@ -925,35 +864,29 @@ fn handle_command<E: Engine>(
             }
             let _ = reply.send(lagged);
         }
-        Command::Note { id, channel, epoch } => {
-            let Some(file) = state.subscribers.get(&id).map(|e| e.file) else {
-                return;
+        Command::Note {
+            id,
+            channel,
+            epoch,
+            reply,
+        } => {
+            let Some(entry) = state.subscribers.get_mut(&id) else {
+                return; // departed: dropping `reply` tells the reader
             };
-            let note = engine.note_for(file, channel, epoch);
-            if let SwapNote::Retune {
-                channel: new_channel,
-                epoch: new_epoch,
-                ..
-            } = &note
-            {
-                let (new_channel, new_epoch) = (*new_channel, *new_epoch);
-                let entry = state
-                    .subscribers
-                    .get_mut(&id)
-                    .expect("the entry was just looked up");
+            let note = engine.note_for(entry.file, channel, epoch);
+            let retune = match &note {
+                SwapNote::Retune { channel, epoch, .. } => Some((*channel, *epoch)),
+                SwapNote::Cancel { .. } => None,
+            };
+            let _ = reply.send(note);
+            if let Some((new_channel, new_epoch)) = retune {
                 let previous = entry.channel;
                 entry.channel = new_channel;
                 entry.epoch = new_epoch;
-                entry.control.push_control(note);
                 state.drop_active(previous);
                 state.grow_active(new_channel);
             } else {
-                let entry = state
-                    .subscribers
-                    .get(&id)
-                    .expect("the entry was just looked up");
-                entry.control.push_control(note);
-                state.retire(id, true);
+                state.retire(id, false);
                 state.fleet.cancelled.inc();
                 state.telemetry.record_event(|| Event::SubscriberResolved {
                     id,
@@ -1131,16 +1064,16 @@ fn replay_lag<E: Engine>(
 // ---------------------------------------------------------------------
 
 #[allow(clippy::too_many_arguments)] // one call site; a struct would obscure it
-fn client_loop<E: Engine, C: Consumer>(
+fn client_loop<E: Engine>(
     id: u64,
-    mut consumer: C,
+    mut ticket: E::Ticket,
+    mut errors: impl ChannelErrorModel,
     ring: Arc<BroadcastRing>,
-    control: Arc<SlotQueue>,
     counters: Arc<SubscriberCounters>,
     detached: Arc<AtomicBool>,
     mut cursor: usize,
     controller: RuntimeController<E>,
-) -> C::Output {
+) -> E::Ticket {
     let mut batch: Vec<Arc<SlotCell>> = Vec::with_capacity(READ_BATCH);
     'read: loop {
         match ring.read_many(cursor, READ_BATCH, &detached, &mut batch) {
@@ -1148,12 +1081,12 @@ fn client_loop<E: Engine, C: Consumer>(
             BatchRead::Overwritten { resume } => {
                 // Self-account the overwritten span as lag: the server
                 // replays the span's schedule (off the data path) and books
-                // the counts; the consumer records the erasures.
+                // the counts; the ticket records the erasures.
                 let (reply_tx, reply_rx) = mpsc::channel();
                 let sent = controller.send(Command::Lag {
                     id,
-                    channel: consumer.channel(),
-                    epoch: consumer.epoch(),
+                    channel: ticket.channel(),
+                    epoch: ticket.epoch(),
                     from: cursor,
                     to: resume,
                     reply: reply_tx,
@@ -1165,67 +1098,57 @@ fn client_loop<E: Engine, C: Consumer>(
                     break 'read;
                 };
                 if lagged_slots > 0 {
-                    consumer.lag(lagged_slots, lagged_file_blocks);
+                    ticket.lag(lagged_file_blocks);
                 }
                 cursor = resume;
             }
             BatchRead::Cells => {
                 for cell in batch.drain(..) {
-                    // The same epoch-resolution rules as the synchronous
-                    // driver, applied reader-side against the cell's
-                    // published lane epochs: wait for a flip, retune across
-                    // swaps, or cancel.
-                    let deliver_on = loop {
-                        let channel = consumer.channel();
-                        let Some(lane) = cell.lanes.get(channel) else {
-                            break None;
-                        };
-                        match lane.epoch {
-                            None => break None,
-                            Some(e) if e < consumer.epoch() => break None,
-                            Some(e) if e == consumer.epoch() => break Some(channel),
-                            Some(_) => {
-                                // The channel flipped past us: fetch the note
-                                // over the control queue, in stream order.
-                                let requested = controller.send(Command::Note {
+                    // The synchronous driver's epoch-resolution step, against
+                    // the cell's published lane epochs; a note is fetched
+                    // from the server at the cell where the flip is seen.
+                    let tuning = resolve_epoch(
+                        &mut ticket,
+                        cell.lanes.len(),
+                        |channel| cell.lanes[channel].epoch,
+                        |_, channel, epoch| {
+                            let (reply, note) = mpsc::channel();
+                            controller
+                                .send(Command::Note {
                                     id,
                                     channel,
-                                    epoch: consumer.epoch(),
-                                });
-                                if requested.is_err() {
-                                    break 'read;
-                                }
-                                let note = match control.pop().item {
-                                    Some(Delivery::Swap(note)) => note,
-                                    _ => break 'read, // retired or shut down
+                                    epoch,
+                                    reply,
+                                })
+                                .ok()?;
+                            note.recv().ok()
+                        },
+                    );
+                    match tuning {
+                        Tuning::Listen(channel) => {
+                            if let Some(block) = cell.lanes[channel].block.as_ref() {
+                                counters.delivered.inc();
+                                let tx = TransmissionRef {
+                                    slot: cell.slot,
+                                    block,
                                 };
-                                let cancelled = note.is_cancel();
-                                if consumer.on_swap(&note) {
-                                    let _ = controller.send(Command::Resolved { id, cancelled });
+                                let ok = !errors.is_lost_on(channel, tx);
+                                if ticket.observe(Some(tx), ok) {
+                                    let _ = controller.send(Command::Completed { id });
                                     break 'read;
                                 }
-                                if cancelled {
-                                    break 'read; // the server already retired us
-                                }
                             }
                         }
-                    };
-                    if let Some(channel) = deliver_on {
-                        if let Some(block) = cell.lanes[channel].block.as_ref() {
-                            counters.delivered.inc();
-                            if consumer.deliver(cell.slot, block) {
-                                let _ = controller.send(Command::Resolved {
-                                    id,
-                                    cancelled: false,
-                                });
-                                break 'read;
-                            }
-                        }
+                        // Waiting for a flip: the cell carries nothing for us.
+                        Tuning::Wait | Tuning::UnknownChannel => {}
+                        // Cancelled (the server retired us as it replied),
+                        // or no note came back: retired or shut down.
+                        Tuning::Resolved | Tuning::NoNote => break 'read,
                     }
                     cursor += 1;
                 }
             }
         }
     }
-    consumer.finish()
+    ticket
 }

@@ -1,13 +1,13 @@
 //! The transport-facing fan-out hook: one publication per served slot.
 //!
-//! [`SlotQueue`](crate::SlotQueue)s carry per-*subscriber* deliveries — one
-//! bounded queue per in-process client.  A network transport is the opposite
-//! shape: the medium itself is the fan-out (the server publishes each slot
-//! **once** per channel; however many receivers are tuned in costs the
-//! sender nothing per receiver, exactly the paper's broadcast model).  A
-//! [`SlotSink`] is that seam: the serving loop hands every attached sink the
-//! slot's live lanes right after it fans the slot out to the in-process
-//! subscribers, on the serving thread, before the next slot is served.
+//! In-process clients read the broadcast ring through cursors of their own.
+//! A network transport has the same shape one level out: the medium itself
+//! is the fan-out (the server publishes each slot **once** per channel;
+//! however many receivers are tuned in costs the sender nothing per
+//! receiver, exactly the paper's broadcast model).  A [`SlotSink`] is that
+//! seam: the serving loop hands every attached sink the slot's live lanes
+//! right before it publishes the slot onto the ring, on the serving thread,
+//! before the next slot is served.
 //!
 //! Implementations must therefore be fast and non-blocking — a sink that
 //! stalls stalls the broadcast.  Dropping data (a full socket buffer, an
@@ -34,8 +34,8 @@ pub struct LaneView<'a> {
 /// recorder, or a metrics exporter) plugs into.
 ///
 /// Called once per served slot on the serving thread with every live lane,
-/// after the in-process subscriber fan-out.  Implementations must not
-/// block.
+/// just before the slot is published onto the broadcast ring.
+/// Implementations must not block.
 pub trait SlotSink: Send + 'static {
     /// Publishes one served slot.  `lanes` holds the live lanes only, in
     /// channel order; it is empty for slots in which every lane was idle.

@@ -100,7 +100,7 @@ pub use station::{Station, Stream};
 
 // The handful of cross-crate types every facade user touches.
 pub use bcore::{ChannelBudget, GeneralizedFileSpec, ShardPlan, ShardPlanner};
-pub use bdisk::{EpochBank, LatencyVector, MultiChannelServer, RetrievalOutcome, TransmissionRef};
+pub use bdisk::{EpochBank, LatencyVector, RetrievalOutcome, TransmissionRef};
 pub use bmode::{ChannelTransition, ModePlanner, ModeSpec, SwapPolicy, TransitionPlan};
 pub use bnet::{
     ControlClient, ControlTimeouts, MetricsFormat, NetClient, NetConfig, NetError, NetStats,

@@ -228,15 +228,6 @@ impl Retrieval {
             .completed()
     }
 
-    /// Records reception errors observed out of band — slots a lagging
-    /// concurrent subscriber dropped while blocks of this file were on the
-    /// air.  Completed or cancelled retrievals ignore them.
-    pub(crate) fn record_erasures(&mut self, count: usize) {
-        if !self.is_cancelled() {
-            self.session.ingest(Observation::Erasure { count });
-        }
-    }
-
     /// Reconstructs the file from the received blocks.
     ///
     /// The dispersal parameters travel inside the handle, so this cannot be
@@ -250,13 +241,18 @@ impl Retrieval {
             });
         }
         if !self.is_complete() {
-            return Err(Error::RetrievalIncomplete {
-                file: self.file,
-                received: self.blocks_received(),
-                required: self.threshold,
-            });
+            return Err(self.incomplete());
         }
         self.session.finish(&self.dispersal).map_err(Error::Ida)
+    }
+
+    /// The error an unfinished retrieval reports: how far it got.
+    pub(crate) fn incomplete(&self) -> Error {
+        Error::RetrievalIncomplete {
+            file: self.file,
+            received: self.blocks_received(),
+            required: self.threshold,
+        }
     }
 
     /// The resolution of a resolved retrieval (completed or cancelled);
@@ -322,6 +318,17 @@ impl brt::Subscriber for Retrieval {
                 latencies,
             } => self.retune(*channel, *epoch, dispersal.clone(), latencies.clone()),
             brt::SwapNote::Cancel { mode } => self.cancel(mode.clone()),
+        }
+    }
+
+    /// Lag is booked as erasures — slots a lagging concurrent subscriber
+    /// dropped while blocks of this file were on the air.  Completed or
+    /// cancelled retrievals ignore them.
+    fn lag(&mut self, file_blocks: u64) {
+        if !self.is_cancelled() {
+            self.session.ingest(Observation::Erasure {
+                count: file_blocks as usize,
+            });
         }
     }
 }

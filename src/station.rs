@@ -793,10 +793,6 @@ impl brt::Engine for Station {
         self.bank.lane_count()
     }
 
-    fn transmit_all_into<'a>(&'a self, slot: usize, out: &mut Vec<Option<TransmissionRef<'a>>>) {
-        self.bank.transmit_all_into(slot, out);
-    }
-
     fn transmit_on(&self, channel: usize, slot: usize) -> Option<TransmissionRef<'_>> {
         self.bank.transmit_ref(channel, slot)
     }

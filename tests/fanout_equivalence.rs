@@ -7,8 +7,8 @@
 //! that design against the per-subscriber queue model it replaced:
 //!
 //! * **lag equivalence** — for the same broadcast schedule and the same
-//!   stall, the ring books exactly the lag a bounded [`SlotQueue`] would
-//!   have booked by dropping slots (the "lag looks like channel loss"
+//!   stall, the ring books exactly the lag a bounded per-subscriber queue
+//!   ([`DropQueue`]) would have booked by dropping slots (the "lag looks like channel loss"
 //!   contract survives the fan-out rewrite);
 //! * **departed subscribers book nothing** — a client unsubscribed while
 //!   the server runs ahead contributes zero lag to the fleet counters (the
@@ -17,7 +17,7 @@
 //!   budget refuses the subscription that would exceed it with
 //!   [`rtbdisk::Error::AdmissionDenied`], and a departure reopens the seat.
 
-use rtbdisk::brt::{Engine, SlotQueue};
+use rtbdisk::brt::Engine;
 use rtbdisk::{
     Broadcast, Error, ErrorModel, FileId, GeneralizedFileSpec, ManualClock, RetrievalResolution,
     RuntimeConfig, Station, TransmissionRef,
@@ -56,6 +56,40 @@ fn open_gate(gate: &Arc<(Mutex<bool>, Condvar)>) {
     let (lock, cvar) = &**gate;
     *lock.lock().unwrap() = true;
     cvar.notify_all();
+}
+
+/// The bounded per-subscriber queue the ring replaced, reduced to its lag
+/// accounting: a push into a full queue drops the slot and counts it, and
+/// counts an erasure when the dropped slot carried the subscriber's file.
+struct DropQueue {
+    capacity: usize,
+    len: usize,
+    lagged_slots: u64,
+    lagged_file_blocks: u64,
+}
+
+impl DropQueue {
+    fn new(capacity: usize) -> Self {
+        DropQueue {
+            capacity,
+            len: 0,
+            lagged_slots: 0,
+            lagged_file_blocks: 0,
+        }
+    }
+
+    fn push(&mut self, carries_file: bool) {
+        if self.len < self.capacity {
+            self.len += 1;
+        } else {
+            self.lagged_slots += 1;
+            self.lagged_file_blocks += u64::from(carries_file);
+        }
+    }
+
+    fn pop(&mut self) {
+        self.len = self.len.checked_sub(1).expect("a queued slot to pop");
+    }
 }
 
 /// Spins until `predicate` holds (bounded; these conditions settle in
@@ -105,28 +139,20 @@ fn ring_overwrite_lag_equals_queue_drop_lag_for_the_same_schedule() {
     let fleet = handle.stats().unwrap();
     let stats = client.stats();
 
-    // The queue leg: the identical schedule pushed through a SlotQueue of
-    // the same capacity with the identical stall — pop one slot, hold while
-    // every remaining slot arrives, then drain.
-    let sim = SlotQueue::new(CAPACITY);
-    let tx = Engine::transmit_on(&schedule, 0, 0).expect("a density-1 slot transmits");
-    sim.push_slot(0, tx.block, true);
-    assert!(sim.pop().item.is_some());
-    for slot in 1..TOTAL {
+    // The queue leg: the identical schedule pushed through a bounded queue
+    // of the same capacity with the identical stall — pop one slot, hold
+    // while every remaining slot arrives.
+    let mut sim = DropQueue::new(CAPACITY);
+    let carries_file = |slot| {
         let tx = Engine::transmit_on(&schedule, 0, slot).expect("a density-1 slot transmits");
-        sim.push_slot(slot, tx.block, true);
+        tx.block.file() == FileId(1)
+    };
+    sim.push(carries_file(0));
+    sim.pop();
+    for slot in 1..TOTAL {
+        sim.push(carries_file(slot));
     }
-    let mut queue_lagged = 0u64;
-    let mut queue_erasures = 0u64;
-    sim.close();
-    loop {
-        let popped = sim.pop();
-        queue_lagged += popped.lagged_slots;
-        queue_erasures += popped.lagged_file_blocks;
-        if popped.item.is_none() {
-            break;
-        }
-    }
+    let (queue_lagged, queue_erasures) = (sim.lagged_slots, sim.lagged_file_blocks);
 
     assert!(queue_lagged > 0, "the simulated queue must have dropped");
     assert_eq!(
