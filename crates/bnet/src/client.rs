@@ -407,6 +407,7 @@ impl ControlClient {
     pub fn connect_with(addr: SocketAddr, timeouts: ControlTimeouts) -> Result<Self, NetError> {
         let stream = TcpStream::connect_timeout(&addr, timeouts.connect)
             .map_err(|e| named_timeout(e.into(), "control connect"))?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(timeouts.read))?;
         stream.set_write_timeout(Some(timeouts.write))?;
         Ok(ControlClient { stream })

@@ -14,6 +14,16 @@
 //! The optional TCP control plane answers [`ControlFrame::Subscribe`] from
 //! a static [`Directory`] and serves slot-counter resyncs — a reliable
 //! convenience, not a requirement.
+//!
+//! The service threads block in the kernel — the membership socket in
+//! `recv_from`, the control listener in `accept` — and never poll.  Every
+//! accepted control connection is served on its own thread: the thread
+//! that accepts it serves it, another thread (reused, or started when
+//! none waits) takes over accepting, so an idle or slow peer holds up
+//! nobody else.  At most [`NetConfig::max_peers`] connections are served
+//! at once and silent ones are closed after an idle bound.  Shutdown wakes
+//! each blocked thread with one self-addressed datagram or connection and
+//! shuts every live control stream down.
 
 use crate::error::NetError;
 use crate::wire::{
@@ -22,9 +32,11 @@ use crate::wire::{
 };
 use bobs::{Counter, Event, Gauge, Registry, Telemetry};
 use brt::{LaneView, SlotSink};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, UdpSocket};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, UdpSocket,
+};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -41,12 +53,10 @@ pub struct NetConfig {
     pub control_bind: Option<SocketAddr>,
     /// Largest datagram the fan-out will send; larger frames fragment.
     pub mtu: usize,
-    /// Most peers the fan-out set will hold; further joins are ignored.
+    /// Most peers the fan-out set will hold, and most control connections
+    /// served at once; further joins are ignored and further connections
+    /// closed on accept.
     pub max_peers: usize,
-    /// How long the control-plane accept loop sleeps between polls of its
-    /// non-blocking listener — the bound on how stale an idle accept can
-    /// be, and on shutdown latency of the control thread.
-    pub control_poll: Duration,
 }
 
 impl Default for NetConfig {
@@ -56,7 +66,6 @@ impl Default for NetConfig {
             control_bind: None,
             mtu: 1400,
             max_peers: 64,
-            control_poll: Duration::from_millis(5),
         }
     }
 }
@@ -65,13 +74,6 @@ impl NetConfig {
     /// Enables the TCP control plane on an ephemeral loopback port.
     pub fn with_control_plane(mut self) -> Self {
         self.control_bind = Some("127.0.0.1:0".parse().expect("valid literal"));
-        self
-    }
-
-    /// Sets the control-plane accept-poll interval (clamped to ≥ 100 µs so
-    /// a zero interval cannot busy-spin the control thread).
-    pub fn with_control_poll(mut self, poll: Duration) -> Self {
-        self.control_poll = poll.max(Duration::from_micros(100));
         self
     }
 }
@@ -150,9 +152,26 @@ struct Shared {
     /// The highest epoch the fan-out has published under — a `Resync`
     /// must report the *live* epoch even when the directory is stale.
     current_epoch: AtomicU64,
+    /// Set once by [`NetHandle`] shutdown.  Control threads read it under
+    /// the `control` lock it is written under, so a connection is either
+    /// registered before shutdown (and shut down by it) or never served.
     stop: AtomicBool,
+    control: Mutex<ControlThreads>,
     directory: Mutex<Directory>,
     max_peers: usize,
+}
+
+/// The control plane's threads and the connections they serve.
+#[derive(Default)]
+struct ControlThreads {
+    /// A `try_clone` of every live control stream, keyed by accept order,
+    /// so shutdown can unblock its reader without waiting out a timeout.
+    connections: HashMap<u64, TcpStream>,
+    next_id: u64,
+    /// Threads blocked (or about to block) in `accept`.
+    idle: usize,
+    /// Every control thread spawned and not yet known to have finished.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl Shared {
@@ -287,14 +306,38 @@ impl NetHandle {
         *self.shared.directory.lock().expect("directory lock") = directory;
     }
 
-    /// Stops the membership and control threads and waits for them.
+    /// Stops the membership and control threads (and every control
+    /// connection) and waits for them.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
-        for thread in self.threads.drain(..) {
+        if self.threads.is_empty() {
+            return;
+        }
+        let (idle, control_threads) = {
+            let mut control = self.shared.control.lock().expect("control lock");
+            self.shared.stop.store(true, Ordering::Relaxed);
+            for stream in control.connections.values() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+            (control.idle, std::mem::take(&mut control.threads))
+        };
+        // Any datagram or connection wakes a blocked service thread, which
+        // then reads `stop`: one datagram for the membership thread, one
+        // connection per thread in `accept`.  A lost wake-up cannot hang
+        // the join: the datagram or connection that displaced it wakes a
+        // thread too.
+        let data = reachable(self.data_addr);
+        let _ = UdpSocket::bind(SocketAddr::new(data.ip(), 0))
+            .and_then(|waker| waker.send_to(&[], data));
+        if let Some(control) = self.control_addr {
+            for _ in 0..idle {
+                let _ = TcpStream::connect_timeout(&reachable(control), Duration::from_secs(1));
+            }
+        }
+        for thread in self.threads.drain(..).chain(control_threads) {
             let _ = thread.join();
         }
     }
@@ -331,11 +374,10 @@ impl NetServer {
         telemetry: Telemetry,
     ) -> Result<(UdpFanout, NetHandle), NetError> {
         let membership = UdpSocket::bind(config.data_bind)?;
-        membership.set_read_timeout(Some(Duration::from_millis(20)))?;
         let data_addr = membership.local_addr()?;
         // A separate non-blocking send socket: the serving thread must
         // never block on the medium, while the membership socket keeps its
-        // blocking-with-timeout receive loop.
+        // blocking receive loop.
         let send_socket = UdpSocket::bind(SocketAddr::new(data_addr.ip(), 0))?;
         send_socket.set_nonblocking(true)?;
 
@@ -346,6 +388,7 @@ impl NetServer {
             next_slot: AtomicU64::new(0),
             current_epoch: AtomicU64::new(0),
             stop: AtomicBool::new(false),
+            control: Mutex::new(ControlThreads::default()),
             directory: Mutex::new(directory),
             max_peers: config.max_peers.max(1),
         });
@@ -360,14 +403,10 @@ impl NetServer {
 
         let control_addr = match config.control_bind {
             Some(bind) => {
-                let listener = TcpListener::bind(bind)?;
+                let listener = Arc::new(TcpListener::bind(bind)?);
                 let addr = listener.local_addr()?;
-                listener.set_nonblocking(true)?;
-                let shared = Arc::clone(&shared);
-                let poll = config.control_poll.max(Duration::from_micros(100));
-                threads.push(std::thread::spawn(move || {
-                    control_loop(&listener, &shared, poll);
-                }));
+                let mut control = shared.control.lock().expect("control lock");
+                spawn_control_thread(&listener, &shared, &mut control)?;
                 Some(addr)
             }
             None => None,
@@ -392,10 +431,8 @@ impl NetServer {
 fn membership_loop(socket: &UdpSocket, shared: &Shared) {
     let mut buf = [0u8; 2048];
     while !shared.stop.load(Ordering::Relaxed) {
-        let (len, from) = match socket.recv_from(&mut buf) {
-            Ok(received) => received,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => continue,
+        let Ok((len, from)) = socket.recv_from(&mut buf) else {
+            continue;
         };
         let Ok(Packet::Frame(Frame::Control(control))) = decode(&buf[..len]) else {
             continue; // not ours to worry about: the medium is lossy
@@ -431,40 +468,100 @@ fn membership_loop(socket: &UdpSocket, shared: &Shared) {
 /// Largest control frame the TCP plane will read.
 const MAX_CONTROL_FRAME: usize = 64 * 1024;
 
-fn control_loop(listener: &TcpListener, shared: &Shared, poll: Duration) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Connections are served one at a time: the control plane
-                // is a short-lived request/response convenience, not a
-                // data path.
-                let _ = serve_control_connection(stream, shared);
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-            }
-            Err(_) => std::thread::sleep(poll),
+/// How long a control connection may stay silent before the server closes
+/// it: well past a client's default 2 s request timeouts, yet bounded so
+/// silent peers cannot pin the `max_peers` connection cap.
+const CONTROL_IDLE: Duration = Duration::from_secs(5);
+
+/// Where this host reaches a socket bound at `addr`: an unspecified bind
+/// address answers on loopback.
+fn reachable(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Most control threads kept waiting in `accept` between connections:
+/// one to take the next connection while another is being served, so a
+/// client never waits for a thread to start, and no more, so a finished
+/// burst of connections gives its threads back.
+const IDLE_CONTROL_THREADS: usize = 2;
+
+/// Starts one more control thread, counted as waiting in `accept`.
+fn spawn_control_thread(
+    listener: &Arc<TcpListener>,
+    shared: &Arc<Shared>,
+    control: &mut ControlThreads,
+) -> std::io::Result<()> {
+    let (listener, thread_shared) = (Arc::clone(listener), Arc::clone(shared));
+    let thread = std::thread::Builder::new()
+        .name("bnet-control".to_string())
+        .spawn(move || control_thread(&listener, &thread_shared))?;
+    control.threads.retain(|thread| !thread.is_finished());
+    control.threads.push(thread);
+    control.idle += 1;
+    Ok(())
+}
+
+/// One control thread: accepts a connection and serves it itself, after
+/// making sure another thread is left accepting.  Threads are reused
+/// across connections, so a connection costs no thread start.
+fn control_thread(listener: &Arc<TcpListener>, shared: &Arc<Shared>) {
+    loop {
+        let accepted = listener.accept();
+        let mut control = shared.control.lock().expect("control lock");
+        control.idle -= 1;
+        if shared.stop.load(Ordering::Relaxed) {
+            return;
         }
+        // Aborted handshakes and descriptor exhaustion are transient, and
+        // over the cap dropping the stream closes it at once: either way
+        // this thread goes back to accepting.
+        let stream = match accepted {
+            Ok((stream, _)) if control.connections.len() < shared.max_peers => stream,
+            _ => {
+                control.idle += 1;
+                continue;
+            }
+        };
+        let Ok(registered) = stream.try_clone() else {
+            control.idle += 1;
+            continue;
+        };
+        let id = control.next_id;
+        control.next_id += 1;
+        control.connections.insert(id, registered);
+        if control.idle == 0 {
+            // Should the spawn fail, this connection is served first and
+            // the next one waits in the listener's backlog until then.
+            let _ = spawn_control_thread(listener, shared, &mut control);
+        }
+        drop(control);
+        let _ = serve_control_connection(stream, shared, CONTROL_IDLE);
+        let mut control = shared.control.lock().expect("control lock");
+        control.connections.remove(&id);
+        if shared.stop.load(Ordering::Relaxed) || control.idle >= IDLE_CONTROL_THREADS {
+            return;
+        }
+        control.idle += 1;
     }
 }
 
-fn serve_control_connection(mut stream: TcpStream, shared: &Shared) -> Result<(), NetError> {
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+/// Answers one connection's requests until it closes, sends garbage, stays
+/// silent past `idle`, or the server shuts it down — every read error ends
+/// the connection.
+fn serve_control_connection(
+    mut stream: TcpStream,
+    shared: &Shared,
+    idle: Duration,
+) -> Result<(), NetError> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(idle))?;
     stream.set_write_timeout(Some(Duration::from_millis(200)))?;
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let frame = match read_control_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()), // clean EOF
-            Err(NetError::Io(e))
-                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
-            {
-                continue
-            }
-            Err(_) => return Ok(()), // garbage on a reliable link: drop them
-        };
+    while let Some(frame) = read_control_frame(&mut stream)? {
         let reply = match frame {
             ControlFrame::Subscribe { file } => {
                 let info = shared
@@ -502,11 +599,12 @@ fn serve_control_connection(mut stream: TcpStream, shared: &Shared) -> Result<()
             write_control_frame(&mut stream, &reply)?;
         }
     }
+    Ok(())
 }
 
-/// Reads one length-prefixed control frame from a TCP stream.  `Ok(None)`
-/// is a clean end of stream.
-pub(crate) fn read_control_frame(stream: &mut TcpStream) -> Result<Option<ControlFrame>, NetError> {
+/// Reads one length-prefixed control frame from a stream.  `Ok(None)` is a
+/// clean end of stream.
+pub(crate) fn read_control_frame(stream: &mut impl Read) -> Result<Option<ControlFrame>, NetError> {
     let mut len_bytes = [0u8; 4];
     match stream.read_exact(&mut len_bytes) {
         Ok(()) => {}
@@ -525,24 +623,65 @@ pub(crate) fn read_control_frame(stream: &mut TcpStream) -> Result<Option<Contro
     }
 }
 
-/// Writes one length-prefixed control frame to a TCP stream.
+/// Writes one length-prefixed control frame to a stream in a single write:
+/// a length prefix written on its own would make the packet wait out the
+/// peer's delayed ACK under Nagle.
 pub(crate) fn write_control_frame(
-    stream: &mut TcpStream,
+    stream: &mut impl Write,
     control: &ControlFrame,
 ) -> Result<(), NetError> {
     let packet = encode(&Frame::Control(control.clone()));
-    let len = packet.len() as u32;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(&packet)?;
+    let mut framed = Vec::with_capacity(4 + packet.len());
+    framed.extend_from_slice(&(packet.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&packet);
+    stream.write_all(&framed)?;
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{ControlClient, ControlTimeouts};
     use bdisk::TransmissionRef;
     use bytes::Bytes;
     use ida::{BlockHeader, DispersedBlock, FileId};
+    use std::sync::Barrier;
+    use std::time::Instant;
+
+    fn one_file_directory() -> Directory {
+        let mut directory = Directory::new();
+        directory.insert(1, SubscriptionInfo::new(0, 3, 2, 4));
+        directory
+    }
+
+    fn control_server(config: NetConfig) -> (UdpFanout, NetHandle, SocketAddr) {
+        let (fanout, handle) =
+            NetServer::bind(config.with_control_plane(), one_file_directory()).unwrap();
+        let addr = handle.control_addr().expect("control plane configured");
+        (fanout, handle, addr)
+    }
+
+    /// A stream the server has closed reads as end of stream or a reset,
+    /// never as a reply.
+    fn assert_closed_by_server(stream: &mut TcpStream) {
+        stream
+            .set_read_timeout(Some(Duration::from_secs(2)))
+            .unwrap();
+        match read_control_frame(stream) {
+            Ok(None) => {}
+            Err(NetError::Io(e)) => assert_ne!(e.kind(), ErrorKind::WouldBlock, "{e}"),
+            other => panic!("expected a closed connection, got {other:?}"),
+        }
+    }
+
+    /// Waits (up to 2 s) until the control plane's state satisfies `done`.
+    fn wait_for(handle: &NetHandle, done: impl Fn(&ControlThreads) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !done(&handle.shared.control.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "control plane did not settle");
+            std::thread::yield_now();
+        }
+    }
 
     fn test_block() -> DispersedBlock {
         DispersedBlock::new(
@@ -621,18 +760,14 @@ mod tests {
             .unwrap();
         let mut buf = [0u8; 2048];
         client.recv_from(&mut buf).unwrap();
-        client
-            .send_to(
-                &encode(&Frame::Control(ControlFrame::Leave)),
-                handle.data_addr(),
-            )
-            .unwrap();
-        // Wait until the membership thread processed the leave.
-        let mut waited = 0;
-        while handle.stats().peers > 0 && waited < 100 {
-            std::thread::sleep(Duration::from_millis(5));
-            waited += 1;
+        for control in [ControlFrame::Leave, ControlFrame::ResyncRequest] {
+            client
+                .send_to(&encode(&Frame::Control(control)), handle.data_addr())
+                .unwrap();
         }
+        // One thread serves membership in arrival order: the resync reply
+        // is the barrier that the leave was processed.
+        client.recv_from(&mut buf).unwrap();
         assert_eq!(handle.stats().peers, 0);
         let block = test_block();
         fanout.publish(
@@ -795,6 +930,207 @@ mod tests {
         };
         assert!(body.starts_with('{'));
         assert!(body.contains("\"bnet_frames_sent\""));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_control_frame_is_one_write() {
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let frames = [
+            ControlFrame::Subscribe { file: FileId(4) },
+            ControlFrame::ResyncRequest,
+            ControlFrame::Resync {
+                epoch: 2,
+                next_slot: 90,
+            },
+        ];
+        for (sent, frame) in frames.iter().enumerate() {
+            write_control_frame(&mut out, frame).unwrap();
+            assert_eq!(out.writes, sent + 1);
+        }
+        let mut wire = out.bytes.as_slice();
+        for frame in &frames {
+            assert_eq!(read_control_frame(&mut wire).unwrap().as_ref(), Some(frame));
+        }
+        assert_eq!(read_control_frame(&mut wire).unwrap(), None);
+    }
+
+    #[test]
+    fn an_idle_connection_does_not_hold_up_other_clients() {
+        let (_fanout, handle, addr) = control_server(NetConfig::default());
+        let mut idle = ControlClient::connect(addr).unwrap();
+        idle.subscribe(FileId(1)).unwrap();
+        // `idle` stays open and silent while another client is served.
+        let mut other =
+            ControlClient::connect_with(addr, ControlTimeouts::uniform(Duration::from_millis(200)))
+                .unwrap();
+        assert_eq!(
+            other.subscribe(FileId(1)).unwrap(),
+            SubscriptionInfo::new(0, 3, 2, 4)
+        );
+        assert_eq!(other.resync().unwrap(), (3, 0));
+        drop(idle);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn concurrent_subscribers_are_all_answered() {
+        const CLIENTS: usize = 8;
+        let (_fanout, handle, addr) = control_server(NetConfig::default());
+        let barrier = Arc::new(Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let mut client = ControlClient::connect_with(
+                        addr,
+                        ControlTimeouts::uniform(Duration::from_millis(500)),
+                    )?;
+                    barrier.wait();
+                    client.subscribe(FileId(1))
+                })
+            })
+            .collect();
+        for client in clients {
+            assert_eq!(
+                client.join().unwrap().unwrap(),
+                SubscriptionInfo::new(0, 3, 2, 4)
+            );
+        }
+        // The burst over, the threads it started beyond the idle ones end.
+        wait_for(&handle, |control| {
+            control.threads.iter().filter(|t| !t.is_finished()).count() <= IDLE_CONTROL_THREADS
+        });
+        handle.shutdown();
+    }
+
+    #[test]
+    fn sequential_connections_reuse_the_control_threads() {
+        let (_fanout, handle, addr) = control_server(NetConfig::default());
+        for _ in 0..20 {
+            let mut client = ControlClient::connect(addr).unwrap();
+            client.subscribe(FileId(1)).unwrap();
+            drop(client);
+            wait_for(&handle, |control| control.connections.is_empty());
+        }
+        // The first connection started the second thread; none since.
+        assert_eq!(handle.shared.control.lock().unwrap().threads.len(), 2);
+        handle.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_prompt_with_an_idle_connection_and_a_joined_peer() {
+        let (_fanout, handle, addr) = control_server(NetConfig::default());
+        let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        peer.send_to(
+            &encode(&Frame::Control(ControlFrame::Join)),
+            handle.data_addr(),
+        )
+        .unwrap();
+        let mut buf = [0u8; 2048];
+        peer.recv_from(&mut buf).unwrap(); // the join ack
+        let mut idle = ControlClient::connect(addr).unwrap();
+        idle.subscribe(FileId(1)).unwrap();
+
+        let started = Instant::now();
+        handle.shutdown();
+        let took = started.elapsed();
+        // Shutdown wakes the blocked threads rather than waiting out a
+        // timeout; 100 ms is slack for a loaded 2-core host.
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+        assert!(matches!(
+            idle.resync(),
+            Err(NetError::Protocol("control connection closed") | NetError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn connections_over_the_cap_are_closed_at_once() {
+        let config = NetConfig {
+            max_peers: 1,
+            ..NetConfig::default()
+        };
+        let (_fanout, handle, addr) = control_server(config);
+        let mut admitted = ControlClient::connect(addr).unwrap();
+        admitted.subscribe(FileId(1)).unwrap();
+
+        let mut over = TcpStream::connect(addr).unwrap();
+        assert_closed_by_server(&mut over);
+        // The admitted client is still served.
+        assert_eq!(admitted.resync().unwrap(), (3, 0));
+
+        // Once it leaves, its slot frees up for the next client.
+        drop(admitted);
+        wait_for(&handle, |control| control.connections.is_empty());
+        let mut next = ControlClient::connect(addr).unwrap();
+        assert_eq!(
+            next.subscribe(FileId(1)).unwrap(),
+            SubscriptionInfo::new(0, 3, 2, 4)
+        );
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_garbage_frame_closes_only_its_own_connection() {
+        let (_fanout, handle, addr) = control_server(NetConfig::default());
+        let mut bystander = ControlClient::connect(addr).unwrap();
+        bystander.subscribe(FileId(1)).unwrap();
+
+        let mut garbage = TcpStream::connect(addr).unwrap();
+        garbage.write_all(&8u32.to_le_bytes()).unwrap();
+        garbage.write_all(b"garbage!").unwrap();
+        assert_closed_by_server(&mut garbage);
+
+        assert_eq!(bystander.resync().unwrap(), (3, 0));
+        let mut fresh = ControlClient::connect(addr).unwrap();
+        assert_eq!(fresh.resync().unwrap(), (3, 0));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn silent_connections_are_closed_after_the_idle_bound() {
+        assert!(CONTROL_IDLE >= ControlTimeouts::default().read);
+        // The same serving path the control thread runs, with a short
+        // bound so the test does not wait out the real one.
+        let (_fanout, handle) =
+            NetServer::bind(NetConfig::default(), one_file_directory()).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let idle = Duration::from_millis(100);
+        let started = Instant::now();
+        let server = std::thread::spawn(move || serve_control_connection(accepted, &shared, idle));
+
+        write_control_frame(&mut client, &ControlFrame::ResyncRequest).unwrap();
+        assert!(matches!(
+            read_control_frame(&mut client).unwrap(),
+            Some(ControlFrame::Resync { epoch: 3, .. })
+        ));
+        assert_closed_by_server(&mut client);
+        assert!(started.elapsed() >= idle);
+        assert!(matches!(
+            server.join().unwrap(),
+            Err(NetError::Io(e)) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+        ));
         handle.shutdown();
     }
 }

@@ -28,7 +28,8 @@ impl Station {
     }
 
     /// [`Station::serve_network`] with explicit runtime and network
-    /// tunables (bind addresses, MTU, the optional TCP control plane).
+    /// tunables (bind addresses, MTU, peer cap, the optional TCP control
+    /// plane, which serves each connection concurrently).
     pub fn serve_network_with(
         self,
         clock: impl brt::SlotClock,
@@ -147,7 +148,8 @@ impl NetServing {
     }
 
     /// Stops the serving loop and the network threads; returns the
-    /// station.
+    /// station.  Open control connections are shut down, not waited out,
+    /// so this returns promptly even while clients stay connected.
     pub fn shutdown(self) -> Result<Station, Error> {
         let NetServing { runtime, net } = self;
         let station = runtime.shutdown()?;
