@@ -42,7 +42,7 @@ pub enum Observation<'a> {
         /// place).
         received_ok: bool,
         /// An inclusion proof delivered alongside the block (e.g. decoded
-        /// from a wire-v2 frame).  `None` falls back to the proof embedded
+        /// from a wire slot frame).  `None` falls back to the proof embedded
         /// in the block itself, if any.
         proof: Option<Arc<BlockProof>>,
     },

@@ -59,10 +59,10 @@ fn station() -> Station {
     // channel, so the design step never dominates the measurement.
     let files = (1..=4u32)
         .map(|i| GeneralizedFileSpec::new(FileId(i), 1, vec![10 + 2 * i, 14 + 2 * i]).unwrap());
-    // Served authenticated: every SLOT frame is wire v2 and carries its
-    // Merkle inclusion proof, so the recorded trajectory pins the
-    // proof-attachment and extra-wire-byte cost of authenticated
-    // broadcast, not just the plain v1 fan-out.
+    // Served authenticated: every SLOT frame carries its Merkle inclusion
+    // proof, so the recorded trajectory pins the proof-attachment and
+    // extra-wire-byte cost of authenticated broadcast, not just the plain
+    // fan-out.
     Broadcast::builder()
         .files(files)
         .channels(2)

@@ -1,17 +1,20 @@
 //! Fixed-iteration IDA throughput measurement — the repo's recorded perf
 //! trajectory.
 //!
-//! Unlike the Criterion benches (which need `cargo bench` and a statistics
-//! harness), this is a plain wall-clock measurement runnable from the
-//! `experiments` binary (`experiments ida_perf`).  It measures disperse and
-//! reconstruct throughput at the three canonical `(m, n)` configurations and
-//! serialises the result to `BENCH_ida.json`, so successive PRs can regress
-//! against real numbers.  The paper's SETH dispersal chip achieved roughly
+//! A plain wall-clock measurement run from the `experiments` binary
+//! (`experiments ida_perf`).  It measures disperse and reconstruct
+//! throughput at the three canonical `(m, n)` configurations, plus the cost
+//! of a reconstruction that misses the inverse cache, and serialises the
+//! result to `BENCH_ida.json`, so successive PRs can regress against real
+//! numbers.  The paper's SETH dispersal chip achieved roughly
 //! 1 MB/s in 1990 silicon; this records how far past that the software
 //! kernels are.
 
-use ida::{Dispersal, FileId};
+use ida::{Dispersal, DispersedBlock, FileId};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Payload size every configuration is measured at.
@@ -19,6 +22,15 @@ pub const PAYLOAD_BYTES: usize = 64 * 1024;
 
 /// The `(m, n)` configurations of the recorded trajectory.
 pub const CONFIGS: [(usize, usize); 3] = [(5, 10), (8, 16), (16, 24)];
+
+/// Block size of the fresh-pattern reconstruction (the paper's 512-byte
+/// blocks): small enough that the O(m³) inversion is the visible cost.
+const FRESH_BLOCK_BYTES: usize = 512;
+
+/// Distinct loss patterns the fresh-pattern reconstruction cycles through:
+/// twice the inverse cache's 256 entries, so with its oldest-first
+/// eviction every call misses.
+const FRESH_PATTERNS: usize = 512;
 
 /// Throughput of one `(m, n)` configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -47,6 +59,11 @@ pub struct IdaPerfRow {
     /// of each of the `m` systematic blocks against the file's root —
     /// the per-client hot path of an authenticated retrieval.
     pub verify_mb_s: f64,
+    /// Microseconds per reconstruction of a `FRESH_BLOCK_BYTES`-block file
+    /// from a loss pattern the inverse cache has not seen, so each call
+    /// pays the O(m³) inversion.  Latency, not throughput: the regression
+    /// gate does not read it.
+    pub reconstruct_fresh_us: f64,
 }
 
 /// The full `ida_perf` measurement.
@@ -91,6 +108,24 @@ fn time<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
     best
 }
 
+/// `FRESH_PATTERNS` distinct ordered choices of `m` of the `n` blocks (the
+/// inverse cache keys on the received indices in order).
+fn fresh_patterns(blocks: &[DispersedBlock], m: usize) -> Vec<Vec<DispersedBlock>> {
+    let mut rng = StdRng::seed_from_u64(0x1DA);
+    let mut seen = HashSet::new();
+    let mut patterns = Vec::with_capacity(FRESH_PATTERNS);
+    while patterns.len() < FRESH_PATTERNS {
+        let mut pool: Vec<usize> = (0..blocks.len()).collect();
+        let rows: Vec<usize> = (0..m)
+            .map(|_| pool.swap_remove(rng.gen_range(0..pool.len())))
+            .collect();
+        if seen.insert(rows.clone()) {
+            patterns.push(rows.iter().map(|&i| blocks[i].clone()).collect());
+        }
+    }
+    patterns
+}
+
 /// Measures disperse/reconstruct throughput with `iters` timed iterations
 /// per configuration.
 pub fn ida_perf(iters: usize) -> IdaPerfResult {
@@ -120,6 +155,16 @@ pub fn ida_perf(iters: usize) -> IdaPerfResult {
                 }
             });
 
+            let small = dispersal
+                .disperse(FileId(1), &payload(FRESH_BLOCK_BYTES * m))
+                .unwrap();
+            let patterns = fresh_patterns(small.blocks(), m);
+            let mut next = 0;
+            let fresh_secs = time(iters, || {
+                next = (next + 1) % patterns.len();
+                dispersal.reconstruct(&patterns[next]).unwrap()
+            });
+
             IdaPerfRow {
                 m,
                 n,
@@ -130,6 +175,7 @@ pub fn ida_perf(iters: usize) -> IdaPerfResult {
                 reconstruct_systematic_mb_s: mb_per_sec(data.len(), iters, systematic_secs),
                 commit_mb_s: mb_per_sec(data.len(), iters, commit_secs),
                 verify_mb_s: mb_per_sec(data.len(), iters, verify_secs),
+                reconstruct_fresh_us: fresh_secs / iters as f64 * 1e6,
             }
         })
         .collect();
@@ -157,6 +203,7 @@ impl core::fmt::Display for IdaPerfResult {
                     format!("{:.1}", r.reconstruct_systematic_mb_s),
                     format!("{:.1}", r.commit_mb_s),
                     format!("{:.1}", r.verify_mb_s),
+                    format!("{:.1}", r.reconstruct_fresh_us),
                 ]
             })
             .collect();
@@ -170,7 +217,8 @@ impl core::fmt::Display for IdaPerfResult {
                     "reconstruct(coded)",
                     "reconstruct(systematic)",
                     "commit",
-                    "verify"
+                    "verify",
+                    "fresh pattern (µs)"
                 ],
                 &rows,
             )
@@ -192,6 +240,7 @@ mod tests {
             assert!(row.reconstruct_systematic_mb_s > 0.0);
             assert!(row.commit_mb_s > 0.0);
             assert!(row.verify_mb_s > 0.0);
+            assert!(row.reconstruct_fresh_us > 0.0);
         }
     }
 
@@ -202,6 +251,7 @@ mod tests {
         assert!(json.contains("disperse_mb_s"));
         assert!(json.contains("commit_mb_s"));
         assert!(json.contains("verify_mb_s"));
+        assert!(json.contains("reconstruct_fresh_us"));
         assert!(result.to_string().contains("8of16"));
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! The crate has four layers, std-only:
 //!
-//! * [`wire`] — the versioned wire format: slot frames, control frames,
+//! * [`wire`] — the wire format: slot frames, control frames,
 //!   fragmentation of oversized blocks, a hardened bounds-checked decoder.
 //! * [`NetServer`] / [`UdpFanout`] — the station side: a
 //!   [`brt::SlotSink`] that fans every served slot out to the joined
@@ -38,4 +38,4 @@ pub use client::{ControlClient, ControlTimeouts, NetClient, RecoveryConfig};
 pub use error::NetError;
 pub use server::{Directory, NetConfig, NetHandle, NetServer, NetStats, UdpFanout};
 pub use session::{ClientState, ClientStats};
-pub use wire::{MetricsFormat, SubscriptionInfo, VERSION, VERSION_AUTH};
+pub use wire::{MetricsFormat, SubscriptionInfo, VERSION};

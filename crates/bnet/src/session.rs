@@ -109,6 +109,11 @@ pub struct ClientState {
     session: Option<ClientSession>,
     pending_erasures: usize,
     last_slot: Option<u64>,
+    /// The earliest slot the client heard: the lowest of every decoded
+    /// slot frame's slot and the `next_slot` of a `Resync` that came before
+    /// them.  It is the outcome's `request_slot`; a resubscribe does not
+    /// move it.
+    first_heard: Option<u64>,
     epoch: Option<u64>,
     stale_epoch: Option<u64>,
     reassembler: Reassembler,
@@ -128,6 +133,7 @@ impl ClientState {
             session: None,
             pending_erasures: 0,
             last_slot: None,
+            first_heard: None,
             epoch: None,
             stale_epoch: None,
             reassembler: Reassembler::new(CLIENT_REASSEMBLY_GROUPS),
@@ -174,7 +180,7 @@ impl ClientState {
 
     /// A newer epoch seen on the wire than the one this session tuned to —
     /// the signature of a mode swap the client missed.  Cleared by
-    /// [`ClientState::resubscribe`] (or a `Retune` note catching up).
+    /// [`ClientState::resubscribe`] or a fresh subscribe ack.
     pub fn stale_epoch(&self) -> Option<u64> {
         self.stale_epoch
     }
@@ -313,7 +319,9 @@ impl ClientState {
         self.session = Some(session);
     }
 
-    /// Finishes the retrieval: reconstructs the file.
+    /// Finishes the retrieval: reconstructs the file.  The outcome's
+    /// `request_slot` is the earliest slot the client heard, so its
+    /// `latency()` counts slots from the moment it started listening.
     ///
     /// Fails with [`NetError::Cancelled`] if a cancel note arrived,
     /// [`NetError::NoSignal`] if the dispersal parameters were never
@@ -339,11 +347,20 @@ impl ClientState {
             });
         }
         let dispersal = Dispersal::new(m as usize, n as usize)?;
-        session.finish(&dispersal).map_err(NetError::Ida)
+        let mut outcome = session.finish(&dispersal)?;
+        if let Some(first) = self.first_heard {
+            outcome.request_slot = first as usize;
+        }
+        Ok(outcome)
+    }
+
+    fn heard(&mut self, slot: u64) {
+        self.first_heard = Some(self.first_heard.map_or(slot, |first| first.min(slot)));
     }
 
     fn feed_slot(&mut self, sf: SlotFrame) -> bool {
         self.stats.slot_frames += 1;
+        self.heard(sf.slot);
         let ours = sf.block.file() == self.file;
         if ours && self.channel.is_none() {
             self.channel = Some(sf.channel);
@@ -408,24 +425,14 @@ impl ClientState {
                 }
                 self.learn_params(info.m, info.n);
             }
-            ControlFrame::Retune {
-                file,
-                channel,
-                epoch,
-            } if file == self.file => {
-                // An in-band swap note: the client heard about the swap,
-                // so the new epoch is not stale knowledge.
-                self.channel = Some(channel);
-                self.epoch = Some(epoch);
-                self.stale_epoch = None;
-            }
             ControlFrame::Cancel { file, mode } if file == self.file => {
                 self.cancelled = Some(mode);
             }
             // Baseline the gap detector so pre-join slots don't count as
             // losses.
-            ControlFrame::Resync { next_slot, .. } if self.last_slot.is_none() && next_slot > 0 => {
-                self.last_slot = Some(next_slot - 1);
+            ControlFrame::Resync { next_slot, .. } if self.last_slot.is_none() => {
+                self.heard(next_slot);
+                self.last_slot = next_slot.checked_sub(1);
             }
             _ => {}
         }
@@ -514,11 +521,14 @@ mod tests {
     #[test]
     fn slot_gaps_on_the_clients_channel_become_erasures() {
         let mut state = ClientState::new(FileId(1));
-        state.feed_datagram(&encode(&frame(0, 0, 1, 0, b"aaaa")));
-        // Slots 1..4 never arrive.
-        state.feed_datagram(&encode(&frame(4, 0, 1, 1, b"bbbb")));
+        state.feed_datagram(&encode(&frame(40, 0, 1, 0, b"aaaa")));
+        // Slots 41..44 never arrive.
+        state.feed_datagram(&encode(&frame(44, 0, 1, 1, b"bbbb")));
         assert_eq!(state.stats().gap_erasures, 3);
-        assert_eq!(state.finish().unwrap().errors_observed, 3);
+        let outcome = state.finish().unwrap();
+        assert_eq!(outcome.errors_observed, 3);
+        // Without a resync, latency counts from the first frame heard.
+        assert_eq!((outcome.request_slot, outcome.latency()), (40, 5));
     }
 
     #[test]
@@ -542,6 +552,9 @@ mod tests {
         assert_eq!(state.stats().gap_erasures, 0);
         state.feed_datagram(&encode(&frame(102, 0, 1, 1, b"bbbb")));
         assert_eq!(state.stats().gap_erasures, 1);
+        // Latency counts from the slot the station was about to serve.
+        let outcome = state.finish().unwrap();
+        assert_eq!((outcome.request_slot, outcome.latency()), (100, 3));
     }
 
     #[test]
@@ -611,14 +624,6 @@ mod tests {
         assert_eq!(state.stale_epoch(), None);
         state.feed_frame(epoch_frame(1, 4, 1, 1, b"bbbb"));
         assert_eq!(state.stale_epoch(), Some(4));
-        // A Retune note catching up clears the staleness.
-        state.feed_frame(Frame::Control(ControlFrame::Retune {
-            file: FileId(1),
-            channel: 0,
-            epoch: 4,
-        }));
-        assert_eq!(state.epoch(), Some(4));
-        assert_eq!(state.stale_epoch(), None);
     }
 
     #[test]
@@ -644,7 +649,7 @@ mod tests {
     #[test]
     fn resubscribe_with_changed_params_restarts_but_keeps_the_accounting() {
         let mut state = ClientState::new(FileId(1));
-        state.feed_datagram(&encode(&frame(0, 0, 1, 0, b"aaaa")));
+        state.feed_datagram(&encode(&frame(10, 0, 1, 0, b"aaaa")));
         state.feed_datagram(b"junk"); // one erasure on the books
         assert_eq!(state.blocks_received(), 1);
         state.resubscribe(SubscriptionInfo::new(1, 2, 3, 6), 40);
@@ -676,7 +681,9 @@ mod tests {
         state.feed_frame(sf(41, 1));
         state.feed_frame(sf(42, 2));
         assert!(state.is_complete());
-        assert_eq!(state.finish().unwrap().errors_observed, 1);
+        let outcome = state.finish().unwrap();
+        assert_eq!(outcome.errors_observed, 1);
+        assert_eq!(outcome.request_slot, 10, "a restart keeps the first slot");
     }
 
     #[test]
@@ -722,7 +729,7 @@ mod tests {
             })
         };
         // A tampered payload under the real proof: rejected and counted,
-        // round-tripped through the v2 encoding like a real datagram.
+        // round-tripped through the wire encoding like a real datagram.
         let good = &df.blocks()[0];
         let mut tampered = good.payload().to_vec();
         tampered[0] ^= 0xFF;
@@ -745,7 +752,7 @@ mod tests {
     }
 
     #[test]
-    fn unarmed_clients_accept_proofless_blocks_from_v2_stations() {
+    fn unarmed_clients_accept_proof_bearing_blocks_unverified() {
         // A client that never learned the root (pure-UDP, no control
         // plane) still completes: verification is opt-in by knowledge.
         let d = ida::Dispersal::authenticated(2, 4).unwrap();

@@ -1,27 +1,18 @@
-//! The `bnet` wire format, versions 1 and 2.
+//! The `bnet` wire format.
 //!
 //! Every datagram is one *packet*: a fixed prefix (magic `b"BNET"`, version
-//! byte, kind byte), a kind-specific body, and a trailing CRC-32 (IEEE) over
-//! everything before it.  All integers are little-endian.
+//! byte [`VERSION`], kind byte), a kind-specific body, and a trailing CRC-32
+//! (IEEE) over everything before it.  All integers are little-endian.
 //!
 //! | kind | packet | body |
 //! |------|--------|------|
-//! | `0x01` | slot frame | `epoch u64, channel u16, slot u64, file u32, index u32, m u32, n u32, original_len u64, payload_len u32, payload` |
+//! | `0x01` | slot frame | `epoch u64, channel u16, slot u64, file u32, index u32, m u32, n u32, original_len u64, payload_len u32, payload, proof_depth u8, proof_depth × [u8; 32]` |
 //! | `0x02` | fragment | `seq u64, index u16, count u16, chunk_len u32, chunk` |
 //! | `0x03` | control frame | `op u8` + op-specific fields |
 //!
-//! Version 2 ([`VERSION_AUTH`]) extends two bodies with authenticated-
-//! broadcast fields and leaves everything else byte-identical to v1:
-//!
-//! | v2 packet | appended fields |
-//! |-----------|-----------------|
-//! | slot frame | `proof_depth u8, proof_depth × [u8; 32]` — the block's Merkle inclusion path (depth 0 = no proof) |
-//! | `SubscribeAck` | `has_root u8, root [u8; 32] if has_root` — the file's commitment root |
-//!
-//! The encoder picks the version per packet: frames without proofs or
-//! roots go out as v1, so an unauthenticated station is bit-compatible
-//! with v1-only clients, and a v1 client talking to an authenticated
-//! station simply rejects the (v2) frames it cannot verify anyway.
+//! A slot frame's trailing `proof_depth` nodes are the block's Merkle
+//! inclusion path (depth 0: no proof); a `SubscribeAck` ends with
+//! `has_root u8` and, when it is 1, the file's 32-byte commitment root.
 //!
 //! A frame that does not fit the transport MTU is split by [`datagrams`]
 //! into fragment packets sharing a sequence number; a [`Reassembler`] on the
@@ -42,11 +33,9 @@ use std::sync::Arc;
 
 /// The four magic bytes opening every packet.
 pub const MAGIC: [u8; 4] = *b"BNET";
-/// The baseline (unauthenticated) wire-format version.
-pub const VERSION: u8 = 1;
-/// The authenticated wire-format version: slot frames may carry Merkle
-/// inclusion proofs, `SubscribeAck` may carry the file's commitment root.
-pub const VERSION_AUTH: u8 = 2;
+/// The wire-format version every packet carries.  Decoders reject any
+/// other value, 1 included.
+pub const VERSION: u8 = 2;
 
 const KIND_SLOT: u8 = 0x01;
 const KIND_FRAG: u8 = 0x02;
@@ -105,7 +94,7 @@ pub struct SubscriptionInfo {
     /// Dispersed block count.
     pub n: u32,
     /// The file's Merkle commitment root, when the station disperses it
-    /// authenticated — the capability bit selecting wire v2.
+    /// authenticated.
     pub commitment_root: Option<Root>,
 }
 
@@ -130,17 +119,6 @@ impl SubscriptionInfo {
     /// `true` when the file is served authenticated.
     pub fn is_authenticated(&self) -> bool {
         self.commitment_root.is_some()
-    }
-
-    /// The wire version an ack carrying this info encodes as:
-    /// [`VERSION_AUTH`] when a commitment root rides along, [`VERSION`]
-    /// otherwise (v1 clients keep interoperating unauthenticated).
-    pub fn wire_version(&self) -> u8 {
-        if self.commitment_root.is_some() {
-            VERSION_AUTH
-        } else {
-            VERSION
-        }
     }
 }
 
@@ -171,21 +149,6 @@ pub enum ControlFrame {
         file: FileId,
         /// Why the subscription was refused.
         reason: String,
-    },
-    /// A client stops listening for `file` (informational).
-    Unsubscribe {
-        /// The file no longer wanted.
-        file: FileId,
-    },
-    /// Swap note: `file` is now carried on `channel` under `epoch`; blocks
-    /// collected so far stay valid.
-    Retune {
-        /// The retuned file.
-        file: FileId,
-        /// The channel now carrying it.
-        channel: u16,
-        /// The epoch that channel serves under after the swap.
-        epoch: u64,
     },
     /// Swap note: retrievals of `file` cannot be carried over the swap to
     /// `mode`.
@@ -248,8 +211,6 @@ const OP_LEAVE: u8 = 0x02;
 const OP_SUBSCRIBE: u8 = 0x03;
 const OP_SUBSCRIBE_ACK: u8 = 0x04;
 const OP_SUBSCRIBE_NAK: u8 = 0x05;
-const OP_UNSUBSCRIBE: u8 = 0x06;
-const OP_RETUNE: u8 = 0x07;
 const OP_CANCEL: u8 = 0x08;
 const OP_RESYNC: u8 = 0x09;
 const OP_RESYNC_REQUEST: u8 = 0x0A;
@@ -391,10 +352,10 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(bytes);
 }
 
-fn open_packet(version: u8, kind: u8, body_hint: usize) -> Vec<u8> {
+fn open_packet(kind: u8, body_hint: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(PACKET_OVERHEAD + body_hint);
     out.extend_from_slice(&MAGIC);
-    out.push(version);
+    out.push(VERSION);
     out.push(kind);
     out
 }
@@ -412,13 +373,8 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
         Frame::Slot(sf) => {
             let h = sf.block.header();
             let proof = sf.block.proof();
-            let version = if proof.is_some() {
-                VERSION_AUTH
-            } else {
-                VERSION
-            };
-            let proof_bytes = proof.map_or(0, |p| 1 + 32 * p.depth());
-            let mut out = open_packet(version, KIND_SLOT, 42 + sf.block.len() + proof_bytes);
+            let proof_bytes = 1 + proof.map_or(0, |p| 32 * p.depth());
+            let mut out = open_packet(KIND_SLOT, 42 + sf.block.len() + proof_bytes);
             put_u64(&mut out, sf.epoch);
             put_u16(&mut out, sf.channel);
             put_u64(&mut out, sf.slot);
@@ -430,20 +386,14 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             let payload = sf.block.payload().as_slice();
             put_u32(&mut out, payload.len() as u32);
             out.extend_from_slice(payload);
-            if let Some(proof) = proof {
-                out.push(proof.depth() as u8);
-                for node in proof.path() {
-                    out.extend_from_slice(node);
-                }
+            out.push(proof.map_or(0, |p| p.depth() as u8));
+            for node in proof.into_iter().flat_map(|p| p.path()) {
+                out.extend_from_slice(node);
             }
             seal_packet(out)
         }
         Frame::Control(cf) => {
-            let version = match cf {
-                ControlFrame::SubscribeAck { info, .. } => info.wire_version(),
-                _ => VERSION,
-            };
-            let mut out = open_packet(version, KIND_CONTROL, 32);
+            let mut out = open_packet(KIND_CONTROL, 32);
             match cf {
                 ControlFrame::Join => out.push(OP_JOIN),
                 ControlFrame::Leave => out.push(OP_LEAVE),
@@ -458,8 +408,8 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
                     put_u64(&mut out, info.epoch);
                     put_u32(&mut out, info.m);
                     put_u32(&mut out, info.n);
+                    out.push(info.commitment_root.is_some() as u8);
                     if let Some(root) = &info.commitment_root {
-                        out.push(1);
                         out.extend_from_slice(root);
                     }
                 }
@@ -467,20 +417,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
                     out.push(OP_SUBSCRIBE_NAK);
                     put_u32(&mut out, file.0);
                     put_str(&mut out, reason);
-                }
-                ControlFrame::Unsubscribe { file } => {
-                    out.push(OP_UNSUBSCRIBE);
-                    put_u32(&mut out, file.0);
-                }
-                ControlFrame::Retune {
-                    file,
-                    channel,
-                    epoch,
-                } => {
-                    out.push(OP_RETUNE);
-                    put_u32(&mut out, file.0);
-                    put_u16(&mut out, *channel);
-                    put_u64(&mut out, *epoch);
                 }
                 ControlFrame::Cancel { file, mode } => {
                     out.push(OP_CANCEL);
@@ -513,7 +449,7 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 }
 
 fn encode_fragment(frag: &Fragment) -> Vec<u8> {
-    let mut out = open_packet(VERSION, KIND_FRAG, FRAG_HEADER + frag.chunk.len());
+    let mut out = open_packet(KIND_FRAG, FRAG_HEADER + frag.chunk.len());
     put_u64(&mut out, frag.seq);
     put_u16(&mut out, frag.index);
     put_u16(&mut out, frag.count);
@@ -621,9 +557,8 @@ pub fn decode(buf: &[u8]) -> Result<Packet, WireError> {
     if buf[0..4] != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = buf[4];
-    if version != VERSION && version != VERSION_AUTH {
-        return Err(WireError::BadVersion(version));
+    if buf[4] != VERSION {
+        return Err(WireError::BadVersion(buf[4]));
     }
     let (content, crc_bytes) = buf.split_at(buf.len() - 4);
     let expected = u32::from_le_bytes(crc_bytes.try_into().unwrap());
@@ -633,16 +568,16 @@ pub fn decode(buf: &[u8]) -> Result<Packet, WireError> {
     let kind = buf[5];
     let mut rd = Reader { buf: &content[6..] };
     let packet = match kind {
-        KIND_SLOT => Packet::Frame(Frame::Slot(decode_slot(&mut rd, version)?)),
+        KIND_SLOT => Packet::Frame(Frame::Slot(decode_slot(&mut rd)?)),
         KIND_FRAG => Packet::Fragment(decode_fragment(&mut rd)?),
-        KIND_CONTROL => Packet::Frame(Frame::Control(decode_control(&mut rd, version)?)),
+        KIND_CONTROL => Packet::Frame(Frame::Control(decode_control(&mut rd)?)),
         k => return Err(WireError::BadKind(k)),
     };
     rd.finish()?;
     Ok(packet)
 }
 
-fn decode_slot(rd: &mut Reader<'_>, version: u8) -> Result<SlotFrame, WireError> {
+fn decode_slot(rd: &mut Reader<'_>) -> Result<SlotFrame, WireError> {
     let epoch = rd.u64()?;
     let channel = rd.u16()?;
     let slot = rd.u64()?;
@@ -667,20 +602,18 @@ fn decode_slot(rd: &mut Reader<'_>, version: u8) -> Result<SlotFrame, WireError>
         original_len,
     };
     let mut block = DispersedBlock::new(header, Bytes::from(payload.to_vec()));
-    if version >= VERSION_AUTH {
-        let depth = rd.u8()? as usize;
-        if depth > bauth::MAX_DEPTH {
-            return Err(WireError::Inconsistent("proof deeper than MAX_DEPTH"));
+    let depth = rd.u8()? as usize;
+    if depth > bauth::MAX_DEPTH {
+        return Err(WireError::Inconsistent("proof deeper than MAX_DEPTH"));
+    }
+    if depth > 0 {
+        let mut path: Vec<Root> = Vec::with_capacity(depth);
+        for _ in 0..depth {
+            path.push(rd.take(32)?.try_into().expect("32-byte node"));
         }
-        if depth > 0 {
-            let mut path: Vec<Root> = Vec::with_capacity(depth);
-            for _ in 0..depth {
-                path.push(rd.take(32)?.try_into().expect("32-byte node"));
-            }
-            let proof = BlockProof::from_path(path)
-                .ok_or(WireError::Inconsistent("proof deeper than MAX_DEPTH"))?;
-            block = block.with_proof(Arc::new(proof));
-        }
+        let proof = BlockProof::from_path(path)
+            .ok_or(WireError::Inconsistent("proof deeper than MAX_DEPTH"))?;
+        block = block.with_proof(Arc::new(proof));
     }
     Ok(SlotFrame {
         epoch,
@@ -710,7 +643,7 @@ fn decode_fragment(rd: &mut Reader<'_>) -> Result<Fragment, WireError> {
     })
 }
 
-fn decode_control(rd: &mut Reader<'_>, version: u8) -> Result<ControlFrame, WireError> {
+fn decode_control(rd: &mut Reader<'_>) -> Result<ControlFrame, WireError> {
     let op = rd.u8()?;
     Ok(match op {
         OP_JOIN => ControlFrame::Join,
@@ -721,28 +654,16 @@ fn decode_control(rd: &mut Reader<'_>, version: u8) -> Result<ControlFrame, Wire
         OP_SUBSCRIBE_ACK => {
             let file = FileId(rd.u32()?);
             let mut info = SubscriptionInfo::new(rd.u16()?, rd.u64()?, rd.u32()?, rd.u32()?);
-            if version >= VERSION_AUTH {
-                match rd.u8()? {
-                    0 => {}
-                    1 => {
-                        info.commitment_root = Some(rd.take(32)?.try_into().expect("32-byte root"))
-                    }
-                    _ => return Err(WireError::Inconsistent("bad commitment-root flag")),
-                }
+            match rd.u8()? {
+                0 => {}
+                1 => info.commitment_root = Some(rd.take(32)?.try_into().expect("32-byte root")),
+                _ => return Err(WireError::Inconsistent("bad commitment-root flag")),
             }
             ControlFrame::SubscribeAck { file, info }
         }
         OP_SUBSCRIBE_NAK => ControlFrame::SubscribeNak {
             file: FileId(rd.u32()?),
             reason: rd.string()?,
-        },
-        OP_UNSUBSCRIBE => ControlFrame::Unsubscribe {
-            file: FileId(rd.u32()?),
-        },
-        OP_RETUNE => ControlFrame::Retune {
-            file: FileId(rd.u32()?),
-            channel: rd.u16()?,
-            epoch: rd.u64()?,
         },
         OP_CANCEL => ControlFrame::Cancel {
             file: FileId(rd.u32()?),
@@ -895,12 +816,6 @@ mod tests {
                 file: FileId(2),
                 reason: "unknown file".to_string(),
             },
-            ControlFrame::Unsubscribe { file: FileId(1) },
-            ControlFrame::Retune {
-                file: FileId(1),
-                channel: 0,
-                epoch: 10,
-            },
             ControlFrame::Cancel {
                 file: FileId(1),
                 mode: "combat".to_string(),
@@ -931,9 +846,7 @@ mod tests {
     fn slot_frames_round_trip() {
         for len in [0, 1, 64, 1500] {
             let frame = slot_frame(len);
-            let encoded = encode(&frame);
-            assert_eq!(encoded[4], VERSION, "proof-free frames stay v1");
-            let decoded = decode(&encoded).unwrap();
+            let decoded = decode(&encode(&frame)).unwrap();
             assert_eq!(decoded, Packet::Frame(frame));
         }
     }
@@ -951,11 +864,9 @@ mod tests {
     }
 
     #[test]
-    fn proof_bearing_slot_frames_round_trip_as_v2() {
+    fn proof_bearing_slot_frames_round_trip() {
         let frame = authenticated_slot_frame();
-        let encoded = encode(&frame);
-        assert_eq!(encoded[4], VERSION_AUTH);
-        let Packet::Frame(Frame::Slot(sf)) = decode(&encoded).unwrap() else {
+        let Packet::Frame(Frame::Slot(sf)) = decode(&encode(&frame)).unwrap() else {
             panic!("expected a slot frame");
         };
         let Frame::Slot(original) = &frame else {
@@ -990,30 +901,29 @@ mod tests {
     }
 
     #[test]
-    fn rooted_subscribe_acks_are_v2_and_rootless_stay_v1() {
-        let v1 = encode(&Frame::Control(ControlFrame::SubscribeAck {
-            file: FileId(1),
-            info: SubscriptionInfo::new(0, 1, 2, 4),
-        }));
-        assert_eq!(v1[4], VERSION);
-        let v2 = encode(&Frame::Control(ControlFrame::SubscribeAck {
-            file: FileId(1),
-            info: SubscriptionInfo::new(0, 1, 2, 4).with_root([9; 32]),
-        }));
-        assert_eq!(v2[4], VERSION_AUTH);
-        let Packet::Frame(Frame::Control(ControlFrame::SubscribeAck { info, .. })) =
-            decode(&v2).unwrap()
-        else {
-            panic!("expected an ack");
-        };
-        assert_eq!(info.commitment_root, Some([9; 32]));
-        assert_eq!(info.wire_version(), VERSION_AUTH);
+    fn subscribe_acks_round_trip_with_and_without_a_root() {
+        for root in [None, Some([9; 32])] {
+            let info = SubscriptionInfo {
+                commitment_root: root,
+                ..SubscriptionInfo::new(0, 1, 2, 4)
+            };
+            let encoded = encode(&Frame::Control(ControlFrame::SubscribeAck {
+                file: FileId(1),
+                info,
+            }));
+            let Packet::Frame(Frame::Control(ControlFrame::SubscribeAck { info, .. })) =
+                decode(&encoded).unwrap()
+            else {
+                panic!("expected an ack");
+            };
+            assert_eq!(info.commitment_root, root);
+        }
     }
 
     #[test]
-    fn v2_proofs_deeper_than_max_depth_are_rejected() {
-        // Hand-build a v2 slot packet claiming a 17-level proof.
-        let mut out = open_packet(VERSION_AUTH, KIND_SLOT, 64);
+    fn proofs_deeper_than_max_depth_are_rejected() {
+        // Hand-build a slot packet claiming a 17-level proof.
+        let mut out = open_packet(KIND_SLOT, 64);
         put_u64(&mut out, 1);
         put_u16(&mut out, 0);
         put_u64(&mut out, 0);
@@ -1128,9 +1038,11 @@ mod tests {
         bad[0] = b'X';
         assert_eq!(decode(&bad), Err(WireError::BadMagic));
 
-        let mut bad = good.clone();
-        bad[4] = 9;
-        assert_eq!(decode(&bad), Err(WireError::BadVersion(9)));
+        for version in [1, 9] {
+            let mut bad = good.clone();
+            bad[4] = version;
+            assert_eq!(decode(&bad), Err(WireError::BadVersion(version)));
+        }
 
         // A wrong kind byte with a recomputed checksum must still fail.
         let mut bad = good.clone();
@@ -1180,7 +1092,7 @@ mod tests {
     fn rejects_inconsistent_dispersal_headers() {
         // m = 0 and index >= n, with valid checksums.
         for (m, n, index) in [(0u32, 5u32, 0u32), (6, 5, 0), (4, 5, 5)] {
-            let mut out = open_packet(VERSION, KIND_SLOT, 64);
+            let mut out = open_packet(KIND_SLOT, 64);
             put_u64(&mut out, 1);
             put_u16(&mut out, 0);
             put_u64(&mut out, 0);
@@ -1190,6 +1102,7 @@ mod tests {
             put_u32(&mut out, n);
             put_u64(&mut out, 100);
             put_u32(&mut out, 0);
+            out.push(0);
             let packet = seal_packet(out);
             assert!(matches!(decode(&packet), Err(WireError::Inconsistent(_))));
         }
@@ -1207,6 +1120,10 @@ mod tests {
                 .map(|cf| encode(&Frame::Control(cf))),
         );
         seeds.extend(datagrams(&slot_frame(5000), 1200, 5));
+        // The proof path, whole and fragmented (the rooted ack is among
+        // the control frames above).
+        seeds.push(encode(&authenticated_slot_frame()));
+        seeds.extend(datagrams(&authenticated_slot_frame(), 256, 6));
         let mut decoded_ok = 0u32;
         for _ in 0..4000 {
             let mut buf = seeds[rng.gen_range(0..seeds.len())].clone();
@@ -1239,7 +1156,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_metrics_format() {
-        let mut out = open_packet(VERSION, KIND_CONTROL, 8);
+        let mut out = open_packet(KIND_CONTROL, 8);
         out.push(OP_METRICS_REQUEST);
         out.push(9); // no such format
         let packet = seal_packet(out);

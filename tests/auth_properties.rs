@@ -26,7 +26,7 @@ use rtbdisk::bdisk::{ClientSession, Ingest, Observation};
 use rtbdisk::bfault::{FaultPlan, ImpairedLink};
 use rtbdisk::bnet::wire::{
     datagrams, decode, encode, ControlFrame, Frame, Packet, Reassembler, SlotFrame,
-    SubscriptionInfo, VERSION, VERSION_AUTH,
+    SubscriptionInfo,
 };
 use rtbdisk::bnet::ClientState;
 use rtbdisk::ida::{Dispersal, DispersedBlock, FileId};
@@ -164,26 +164,28 @@ fn proofs_round_trip_the_wire_whole_and_fragmented() {
         block: block.clone(),
     });
 
-    // Whole: one datagram, version byte 2, proof intact and verifying.
+    // Whole: one datagram, proof intact and verifying.
     let wire = encode(&frame);
-    assert_eq!(wire[4], VERSION_AUTH, "proof-carrying slots are wire v2");
     let Ok(Packet::Frame(Frame::Slot(sf))) = decode(&wire) else {
-        panic!("the v2 slot frame must decode");
+        panic!("the slot frame must decode");
     };
     assert_eq!(sf.block.payload(), block.payload());
     let proof = sf.block.proof().expect("the proof rode the wire");
     assert_eq!(proof.depth(), block.proof().unwrap().depth());
     assert!(dispersal.verify_block(&root, &sf.block));
 
-    // A proofless block of the same file stays byte-identical wire v1.
+    // A proofless block of the same file travels with proof depth 0 and
+    // decodes without a proof.
     let bare = DispersedBlock::new(*block.header(), block.payload().clone());
-    let v1 = encode(&Frame::Slot(SlotFrame {
+    let Ok(Packet::Frame(Frame::Slot(sf))) = decode(&encode(&Frame::Slot(SlotFrame {
         epoch: 7,
         channel: 1,
         slot: 42,
         block: bare,
-    }));
-    assert_eq!(v1[4], VERSION, "proofless slots stay wire v1");
+    }))) else {
+        panic!("the proofless slot frame must decode");
+    };
+    assert!(sf.block.proof().is_none(), "no proof appears from nowhere");
 
     // Fragmented: an MTU far below the frame size forces several
     // fragments; the reassembled inner frame still verifies.
@@ -212,22 +214,19 @@ fn proofs_round_trip_the_wire_whole_and_fragmented() {
 }
 
 #[test]
-fn subscription_info_carries_the_root_and_picks_its_wire_version() {
+fn subscription_info_carries_the_root() {
     let root: Root = [0xAB; 32];
     let plain = SubscriptionInfo::new(1, 3, 4, 8);
     assert!(!plain.is_authenticated());
-    assert_eq!(plain.wire_version(), VERSION);
     let rooted = plain.with_root(root);
     assert!(rooted.is_authenticated());
-    assert_eq!(rooted.wire_version(), VERSION_AUTH);
 
-    // The rooted ack round-trips the root; the plain ack stays v1 bytes.
+    // The rooted ack round-trips the root; the plain ack stays rootless.
     for info in [plain, rooted] {
         let wire = encode(&Frame::Control(ControlFrame::SubscribeAck {
             file: FileId(5),
             info,
         }));
-        assert_eq!(wire[4], info.wire_version());
         let Ok(Packet::Frame(Frame::Control(ControlFrame::SubscribeAck { file, info: back }))) =
             decode(&wire)
         else {
